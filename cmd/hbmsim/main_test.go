@@ -50,42 +50,72 @@ func TestLoadWorkloadModes(t *testing.T) {
 	}
 }
 
-// TestRunObservedWithMetricsMatchesPlain: the -http observers (Meter +
-// progress) leave the Result bit-identical to the plain path, the registry
-// fills with simulator counters, and /progress ends at completion.
+// TestRunObservedWithMetricsMatchesPlain: the -http telemetry (Meter and
+// /progress) leaves the Result bit-identical to the plain path, the
+// registry fills with simulator counters, and /progress ends at
+// completion. On the hit-stretch shape — dense MM at half its unique
+// pages — the folding Meter must also keep exactly the bare simulator's
+// fast-forwarded ticks.
 func TestRunObservedWithMetricsMatchesPlain(t *testing.T) {
-	wl, err := generate("spgemm", 4, 48, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := hbmsim.Config{HBMSlots: 64, Channels: 1, Arbiter: hbmsim.ArbiterPriority,
-		Replacement: hbmsim.ReplaceLRU, Permuter: hbmsim.PermuterDynamic, RemapPeriod: 128, Seed: 1}
+	for _, tc := range []struct {
+		name        string
+		gen         string
+		cores, size int
+		cfg         hbmsim.Config
+		wantFF      bool
+	}{
+		{name: "spgemm", gen: "spgemm", cores: 4, size: 48,
+			cfg: hbmsim.Config{HBMSlots: 64, Channels: 1, Arbiter: hbmsim.ArbiterPriority,
+				Replacement: hbmsim.ReplaceLRU, Permuter: hbmsim.PermuterDynamic, RemapPeriod: 128, Seed: 1}},
+		{name: "densemm-half", gen: "densemm", cores: 4, size: 24,
+			cfg: hbmsim.Config{Channels: 1, Seed: 1}, wantFF: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wl, err := generate(tc.gen, tc.cores, tc.size, 64, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			if cfg.HBMSlots == 0 {
+				cfg.HBMSlots = wl.UniquePages() / 2
+			}
 
-	plain, err := hbmsim.Run(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
+			bare, err := hbmsim.NewSim(cfg, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bare.Step() {
+			}
+			plain := bare.Result()
 
-	opts := telemetryOptions{
-		metrics:   hbmsim.NewMetricsRegistry(),
-		progress:  &introspect.Progress{},
-		totalRefs: wl.TotalRefs(),
-	}
-	if !opts.enabled() {
-		t.Fatal("metrics registry alone should enable the observed path")
-	}
-	observed, _, _, err := runObserved(context.Background(), cfg, wl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, observed) {
-		t.Fatalf("live metrics changed the result:\nplain:    %+v\nobserved: %+v", plain, observed)
-	}
-	if got := opts.metrics.Counter("hbmsim_serves_total", "").Value(); got != observed.TotalRefs {
-		t.Fatalf("hbmsim_serves_total = %d, want %d", got, observed.TotalRefs)
-	}
-	snap := opts.progress.Snapshot()
-	if snap.Phase != "simulate" || snap.Completed != int(wl.TotalRefs()) || snap.Percent != 100 {
-		t.Fatalf("final progress = %+v", snap)
+			opts := telemetryOptions{
+				metrics:   hbmsim.NewMetricsRegistry(),
+				progress:  &introspect.Progress{},
+				totalRefs: wl.TotalRefs(),
+			}
+			if !opts.enabled() {
+				t.Fatal("metrics registry alone should enable the observed path")
+			}
+			observed, _, rs, err := runObserved(context.Background(), cfg, wl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, observed) {
+				t.Fatalf("live metrics changed the result:\nplain:    %+v\nobserved: %+v", plain, observed)
+			}
+			if got := opts.metrics.Counter("hbmsim_serves_total", "").Value(); got != observed.TotalRefs {
+				t.Fatalf("hbmsim_serves_total = %d, want %d", got, observed.TotalRefs)
+			}
+			if rs.ffTicks != bare.FastForwardedTicks() {
+				t.Fatalf("observed run fast-forwarded %d ticks, bare run %d", rs.ffTicks, bare.FastForwardedTicks())
+			}
+			if tc.wantFF && rs.ffTicks == 0 {
+				t.Fatal("fast-forward never engaged on the hit-stretch shape")
+			}
+			snap := opts.progress.Snapshot()
+			if snap.Phase != "simulate" || snap.Completed != int(wl.TotalRefs()) || snap.Percent != 100 {
+				t.Fatalf("final progress = %+v", snap)
+			}
+		})
 	}
 }

@@ -50,35 +50,9 @@ func (t telemetryOptions) enabled() bool {
 		t.checkpointEvery > 0 || t.resumePath != ""
 }
 
-// progressObserver refreshes the /progress view from the Meter's counters
-// every refreshTicks simulated ticks — cheap enough for the tick loop,
-// fresh enough for a human watching curl.
-type progressObserver struct {
-	hbmsim.NopObserver
-	prog  *introspect.Progress
-	meter *hbmsim.Meter
-	total uint64
-	start time.Time
-}
-
+// refreshTicks is the /progress refresh cadence in simulated ticks —
+// cheap enough for the step loop, fresh enough for a human watching curl.
 const refreshTicks = 1024
-
-func (p *progressObserver) OnTickEnd(t hbmsim.Tick, _, _ int) {
-	if uint64(t)%refreshTicks != 0 {
-		return
-	}
-	p.refresh()
-}
-
-func (p *progressObserver) refresh() {
-	served := p.meter.Serves()
-	elapsed := time.Since(p.start)
-	var eta time.Duration
-	if served > 0 && served < p.total {
-		eta = time.Duration(float64(elapsed) / float64(served) * float64(p.total-served))
-	}
-	p.prog.Update(int(served), int(p.total), 0, elapsed, eta)
-}
 
 // runStats carries execution telemetry that lives outside the Result:
 // wall-clock duration of the step loop and the fast-forward counters.
@@ -173,15 +147,26 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 		}
 		multi.Attach(col.tracker)
 	}
-	var prog *progressObserver
 	if opts.metrics != nil {
-		meter := hbmsim.NewMeter(opts.metrics)
-		multi.Attach(meter)
-		if opts.progress != nil {
-			opts.progress.SetPhase("simulate", int(opts.totalRefs))
-			prog = &progressObserver{prog: opts.progress, meter: meter,
-				total: opts.totalRefs, start: time.Now()}
-			multi.Attach(prog)
+		// The Meter folds fast-forwarded stretches, so -http alone keeps
+		// the batched path.
+		multi.Attach(hbmsim.NewMeter(opts.metrics))
+	}
+	// /progress is refreshed from the simulator's cursors between Steps,
+	// not by an observer, so it costs the fast-forward path nothing and
+	// counts the serves a resumed run does not replay.
+	var refreshProgress func()
+	if opts.progress != nil {
+		opts.progress.SetPhase("simulate", int(opts.totalRefs))
+		total, start := int(opts.totalRefs), time.Now()
+		refreshProgress = func() {
+			served := total - sim.Remaining()
+			elapsed := time.Since(start)
+			var eta time.Duration
+			if served > 0 && served < total {
+				eta = time.Duration(float64(elapsed) / float64(served) * float64(total-served))
+			}
+			opts.progress.Update(served, total, 0, elapsed, eta)
 		}
 	}
 
@@ -209,6 +194,7 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 	// partial file at the final flush.
 	const errCheckMask = 1<<12 - 1
 	var steps uint64
+	nextRefresh := (sim.Tick()/refreshTicks + 1) * refreshTicks
 	start := time.Now()
 	for sim.Step() {
 		if opts.checkpointEvery > 0 && sim.Tick()%opts.checkpointEvery == 0 {
@@ -216,6 +202,10 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 				closeAll()
 				return nil, nil, rs, err
 			}
+		}
+		if t := sim.Tick(); refreshProgress != nil && t >= nextRefresh {
+			refreshProgress()
+			nextRefresh = (t/refreshTicks + 1) * refreshTicks
 		}
 		steps++
 		if steps&errCheckMask == 0 {
@@ -243,8 +233,8 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 		}
 	}
 	res := sim.Result()
-	if prog != nil {
-		prog.refresh() // final update so /progress shows completion
+	if refreshProgress != nil {
+		refreshProgress() // final update so /progress shows completion
 	}
 
 	if events != nil {

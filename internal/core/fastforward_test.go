@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hbmsim/internal/arbiter"
@@ -312,6 +313,15 @@ func FuzzFastForwardDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3}, int64(1))
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 1, 2, 2}, int64(7))
 	f.Add([]byte{3, 2, 1, 0, 3, 2, 1, 0}, int64(42))
+	// Two cores each looping over two pages: under these configuration
+	// seeds (LRU and Belady, no remaps) the run fast-forwards after its
+	// cold misses, so the seed corpus alone exercises the fold.
+	loop := make([]byte, 96)
+	for i := range loop {
+		loop[i] = byte(i % 4)
+	}
+	f.Add(loop, int64(67))
+	f.Add(loop, int64(121))
 	f.Fuzz(func(t *testing.T, data []byte, cfgSeed int64) {
 		rng := rand.New(rand.NewSource(cfgSeed))
 		cfg := genConfig(rng)
@@ -333,5 +343,156 @@ func FuzzFastForwardDifferential(f *testing.F) {
 			t.Fatalf("cfg %+v: results diverge:\n  ff: %+v\nplain: %+v", cfg, ffRes, plainRes)
 		}
 		diffLines(t, "fast-forward", ffRec.lines, plainRec.lines)
+
+		// A third simulator carries a folding observer: it must see the
+		// same stretches folded (not replayed) and end with the per-tick
+		// recording's totals.
+		folded, err := New(cfg, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := newFoldCounter(len(ts))
+		folded.SetObserver(fc)
+		for folded.Step() {
+		}
+		if res := folded.Result(); !reflect.DeepEqual(res, plainRes) {
+			t.Fatalf("cfg %+v: folded result diverges:\nfolded: %+v\n plain: %+v", cfg, res, plainRes)
+		}
+		if want := recordedCounts(t, plainRec.lines, len(ts)); !reflect.DeepEqual(fc.counts, want) {
+			t.Fatalf("cfg %+v: folded totals %+v, per-tick recording %+v", cfg, fc.counts, want)
+		}
+		if fc.stretches != folded.FastForwardedStretches() ||
+			folded.FastForwardedTicks() != ff.FastForwardedTicks() {
+			t.Fatalf("cfg %+v: folded %d of %d stretches (%d ticks; unobserved run %d)", cfg,
+				fc.stretches, folded.FastForwardedStretches(), folded.FastForwardedTicks(), ff.FastForwardedTicks())
+		}
 	})
+}
+
+// foldCounts are the totals a counting observer keeps: per-core serves
+// and hits, the response sum, tick ends, and the end-of-tick queue-depth
+// sum.
+type foldCounts struct {
+	Serves, Hits             []uint64
+	RespSum, Ticks, DepthSum uint64
+}
+
+func newFoldCounts(cores int) foldCounts {
+	return foldCounts{Serves: make([]uint64, cores), Hits: make([]uint64, cores)}
+}
+
+func (c *foldCounts) serve(core model.CoreID, resp model.Tick) {
+	c.Serves[core]++
+	if resp == 1 {
+		c.Hits[core]++
+	}
+	c.RespSum += uint64(resp)
+}
+
+// foldCounter is a test-only folding observer (StretchObserver) over
+// foldCounts; stretches counts its OnStretch calls.
+type foldCounter struct {
+	NopObserver
+	counts    foldCounts
+	stretches uint64
+}
+
+func newFoldCounter(cores int) *foldCounter { return &foldCounter{counts: newFoldCounts(cores)} }
+
+func (f *foldCounter) OnServe(c model.CoreID, _ model.PageID, _, resp model.Tick) {
+	f.counts.serve(c, resp)
+}
+
+func (f *foldCounter) OnTickEnd(_ model.Tick, depth, _ int) {
+	f.counts.Ticks++
+	f.counts.DepthSum += uint64(depth)
+}
+
+func (f *foldCounter) OnStretch(_, n model.Tick, active []model.CoreID, first []model.Tick) bool {
+	f.stretches++
+	for i, c := range active {
+		f.counts.serve(c, first[i])
+		f.counts.Serves[c] += uint64(n - 1)
+		f.counts.Hits[c] += uint64(n - 1)
+		f.counts.RespSum += uint64(n - 1)
+	}
+	f.counts.Ticks += uint64(n)
+	return true
+}
+
+// recordedCounts derives foldCounts from a streamRecorder's lines.
+func recordedCounts(t *testing.T, lines []string, cores int) foldCounts {
+	t.Helper()
+	c := newFoldCounts(cores)
+	for _, l := range lines {
+		var core, page, tick, resp, depth, busy int
+		switch {
+		case strings.HasPrefix(l, "serve "):
+			if _, err := fmt.Sscanf(l, "serve c=%d p=%d t=%d resp=%d", &core, &page, &tick, &resp); err != nil {
+				t.Fatalf("parsing %q: %v", l, err)
+			}
+			c.serve(model.CoreID(core), model.Tick(resp))
+		case strings.HasPrefix(l, "tick "):
+			if _, err := fmt.Sscanf(l, "tick t=%d depth=%d busy=%d", &tick, &depth, &busy); err != nil {
+				t.Fatalf("parsing %q: %v", l, err)
+			}
+			c.Ticks++
+			c.DepthSum += uint64(depth)
+		}
+	}
+	return c
+}
+
+// TestMultiObserverFoldsOnlyWhenAllFold pins the fan-out's rule: a
+// MultiObserver folds stretches only when every member (nested fan-outs
+// included) folds; one replaying member makes every member replay, and
+// the folding members' totals are the same either way.
+func TestMultiObserverFoldsOnlyWhenAllFold(t *testing.T) {
+	ts := hitHeavyWorkload(3, 400, 5)
+	cfg := Config{HBMSlots: 32, Channels: 2, Seed: 11}
+	plain, err := New(cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.noFF = true
+	rec, _ := runRecorded(plain)
+	want := recordedCounts(t, rec.lines, len(ts))
+
+	for _, tc := range []struct {
+		name  string
+		build func(fc *foldCounter) Observer
+		folds bool
+	}{
+		{"alone", func(fc *foldCounter) Observer { return fc }, true},
+		{"multi", func(fc *foldCounter) Observer { return NewMultiObserver(fc, newFoldCounter(len(ts))) }, true},
+		{"nested", func(fc *foldCounter) Observer { return NewMultiObserver(NewMultiObserver(fc), NewMultiObserver()) }, true},
+		{"mixed", func(fc *foldCounter) Observer { return NewMultiObserver(fc, &streamRecorder{}) }, false},
+		{"nested-mixed", func(fc *foldCounter) Observer {
+			return NewMultiObserver(fc, NewMultiObserver(&streamRecorder{}))
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(cfg, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fc := newFoldCounter(len(ts))
+			s.SetObserver(tc.build(fc))
+			for s.Step() {
+			}
+			if s.FastForwardedStretches() == 0 {
+				t.Fatal("fast-forward never engaged; the test is vacuous")
+			}
+			if !reflect.DeepEqual(fc.counts, want) {
+				t.Fatalf("totals %+v, per-tick recording %+v", fc.counts, want)
+			}
+			var wantFolded uint64
+			if tc.folds {
+				wantFolded = s.FastForwardedStretches()
+			}
+			if fc.stretches != wantFolded {
+				t.Fatalf("folded %d of %d stretches, want %d", fc.stretches, s.FastForwardedStretches(), wantFolded)
+			}
+		})
+	}
 }

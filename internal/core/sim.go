@@ -148,6 +148,11 @@ type Sim struct {
 	queueSum   uint64
 	queueTicks uint64
 	hist       *stats.Histogram
+
+	// first is OnStretch's per-active-core first-response scratch,
+	// sharing reqTick's backing allocation. It is declared after every
+	// per-tick field so the hot fields keep their layout.
+	first []model.Tick
 }
 
 // New builds a simulator for the given per-core reference sequences.
@@ -251,6 +256,7 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 	// construction stays a handful of allocations even with the
 	// fast-forward scan caches.
 	intBuf := make([]int, 2*p)
+	tickBuf := make([]model.Tick, 2*p)
 	boolBuf := make([]bool, 2*p)
 	i32Buf := make([]int32, p+u)
 	s := &Sim{
@@ -262,7 +268,8 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 		traces:     traces,
 		pos:        intBuf[:p:p],
 		scanTo:     intBuf[p:],
-		reqTick:    make([]model.Tick, p),
+		reqTick:    tickBuf[:p:p],
+		first:      tickBuf[p:],
 		queued:     boolBuf[:p:p],
 		scanMiss:   boolBuf[p:],
 		pri:        i32Buf[:p:p],
@@ -378,7 +385,8 @@ func (s *Sim) FastForwardedStretches() uint64 { return s.ffStretches }
 // transfer completes before the stretch ends, Step instead
 // fast-forwards the whole contention-free stretch in one call (see
 // fastForward) with bit-identical Results, snapshots, and Observer
-// event streams.
+// event streams — except that a folding StretchObserver receives one
+// OnStretch call in place of the stretch's OnServe and OnTickEnd events.
 func (s *Sim) Step() bool {
 	if s.Done() || s.truncd {
 		return false
@@ -720,14 +728,16 @@ func (s *Sim) invalidateScan(pg model.PageID) {
 // TouchAll, or skipped when Touch is a no-op), per-core response stats
 // are folded in closed form — the stretch's first serve can carry a
 // response > 1 when the core's fetch landed on the stretch's first tick;
-// every later serve is a unit-response hit — and, when an observer is
-// attached, the identical OnServe/OnTickEnd event stream is emitted.
-// With no observer and a no-op Touch the whole stretch costs O(active).
+// every later serve is a unit-response hit. An attached observer either
+// folds the stretch in one OnStretch call (see StretchObserver), which
+// keeps the batched touch replay, or receives the identical per-tick
+// OnServe/OnTickEnd event stream. With no observer or a folding one, and
+// a no-op Touch, the whole stretch costs O(active).
 func (s *Sim) fastForward(n model.Tick) {
 	t0 := s.tick
 	tEnd := t0 + n
 
-	if s.obs != nil {
+	if s.obs != nil && !s.foldStretch(t0, n) {
 		// Event replay interleaves Touch and OnServe per core, exactly as
 		// step 4 of the slow path does.
 		for k := model.Tick(0); k < n; k++ {
@@ -841,6 +851,22 @@ func (s *Sim) fastForward(n model.Tick) {
 	s.queueTicks += uint64(n) // queue depth is 0 on every stretch tick
 	s.ffTicks += uint64(n)
 	s.ffStretches++
+}
+
+// foldStretch offers the stretch of ticks t0+1 .. t0+n to a folding
+// observer and reports whether it took it; on false the caller replays
+// the stretch's per-tick events instead. It runs before fastForward's
+// fold advances reqTick, so first holds each core's first response.
+func (s *Sim) foldStretch(t0, n model.Tick) bool {
+	so, ok := s.obs.(StretchObserver)
+	if !ok {
+		return false
+	}
+	first := s.first[:len(s.active)]
+	for i, ci := range s.active {
+		first[i] = t0 + 2 - s.reqTick[ci]
+	}
+	return so.OnStretch(t0, n, s.active, first)
 }
 
 // orig translates a dense internal page ID back to the caller's original

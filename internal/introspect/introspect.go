@@ -149,6 +149,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Server timeouts. A client gets readHeaderTimeout to send its request
+// headers, so a slow-header client cannot hold a connection open
+// indefinitely, and an idle keep-alive connection is closed after
+// idleTimeout. There is deliberately no read or write timeout on the
+// whole request: SSE job streams, pprof profiles, and execution traces
+// legitimately stay open for as long as the client asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Start opens a listener on addr (e.g. ":8080" or "127.0.0.1:0") and
 // serves in a background goroutine. It returns the bound address, useful
 // when addr requested an ephemeral port.
@@ -158,7 +169,11 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("introspect: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go s.srv.Serve(ln) // Serve returns ErrServerClosed on Close; nothing to do with it
 	return ln.Addr().String(), nil
 }

@@ -203,6 +203,20 @@ func TestServerStartClose(t *testing.T) {
 	}
 }
 
+// TestServerTimeoutsSet: the started server bounds how long a client may
+// take to send headers and how long an idle connection stays open.
+func TestServerTimeoutsSet(t *testing.T) {
+	srv := New(nil, nil)
+	if _, err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.srv.ReadHeaderTimeout <= 0 || srv.srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout=%v IdleTimeout=%v, want both set",
+			srv.srv.ReadHeaderTimeout, srv.srv.IdleTimeout)
+	}
+}
+
 func TestParseLogLevel(t *testing.T) {
 	for in, want := range map[string]string{
 		"debug": "DEBUG", "info": "INFO", "Warn": "WARN", "ERROR": "ERROR", "": "INFO",

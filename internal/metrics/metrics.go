@@ -110,9 +110,29 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// ObserveN records n observations of the value v in one update: the
+// bucket and the count grow by n, the sum by v*n. For integer-valued
+// observations whose running sum stays below 2^53 every partial sum is
+// an exactly representable float64, so the result is bit-identical to n
+// Observe(v) calls in any interleaving with other observations.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
+	i := sort.SearchFloat64s(h.bounds, v)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	h.addSum(v * float64(n))
+}
+
+// addSum adds d to the running sum with a CAS loop.
+func (h *Histogram) addSum(d float64) {
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + d)
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
 		}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -54,6 +55,36 @@ func TestHistogramBuckets(t *testing.T) {
 		if cum[i] < cum[i-1] {
 			t.Fatalf("buckets not cumulative: %v", cum)
 		}
+	}
+}
+
+// TestHistogramObserveN: n observations of one integer value in one
+// call are bit-identical to n Observe calls, interleaved with other
+// observations in any order; n == 0 records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	bounds := []float64{1, 2, 4}
+	one, batched := NewHistogram(bounds), NewHistogram(bounds)
+	for _, v := range []float64{3, 1, 7} {
+		one.Observe(v)
+	}
+	for i := 0; i < 1000; i++ {
+		one.Observe(1)
+	}
+	one.Observe(0)
+	one.Observe(0)
+
+	batched.ObserveN(1, 1000)
+	batched.ObserveN(5, 0)
+	for _, v := range []float64{7, 3, 1} {
+		batched.Observe(v)
+	}
+	batched.ObserveN(0, 2)
+
+	if one.Count() != batched.Count() || one.Sum() != batched.Sum() {
+		t.Fatalf("count/sum = %d/%g, want %d/%g", batched.Count(), batched.Sum(), one.Count(), one.Sum())
+	}
+	if a, b := one.Cumulative(), batched.Cumulative(); !slices.Equal(a, b) {
+		t.Fatalf("cumulative = %v, want %v", b, a)
 	}
 }
 

@@ -13,6 +13,12 @@ import (
 // clients should treat it as a backoff floor, not a promise.
 const retryAfterSeconds = 1
 
+// maxSpecBytes bounds a POST /jobs body. A job spec is a few hundred
+// bytes of JSON; the limit leaves three orders of magnitude of headroom
+// while keeping a hostile or runaway client from making the decoder
+// buffer an unbounded body. Larger bodies get 413.
+const maxSpecBytes = 4 << 20
+
 // Handler returns the job API:
 //
 //	POST   /jobs             submit a job (Spec JSON) -> 202 + View
@@ -22,8 +28,8 @@ const retryAfterSeconds = 1
 //	GET    /jobs/{id}/events live SSE progress stream
 //
 // Error mapping: invalid specs are 400, unknown IDs 404, cancelling a
-// finished job 409, a full admission queue 429 with Retry-After, and a
-// draining service 503.
+// finished job 409, a spec body over maxSpecBytes 413, a full admission
+// queue 429 with Retry-After, and a draining service 503.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -48,10 +54,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
 	v, err := s.SubmitTraced(spec, r.Header.Get("traceparent"))
@@ -115,7 +125,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 // `event: update` per state or progress change, ending after the
 // terminal event (or when the client goes away). Slow clients may miss
 // intermediate progress events — the channel drops rather than blocks —
-// but never the terminal one, which is re-checked from the job itself.
+// but never the terminal one (see notifyLocked).
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
@@ -166,8 +176,8 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // subscribe registers a live-update channel for a job and returns it
 // with the job's current view. Progress events are dropped (not queued
-// unboundedly) for slow consumers; terminal events always land because
-// the channel has headroom and nothing follows them.
+// unboundedly) for slow consumers; the terminal event is never dropped,
+// because notifyLocked makes room for it (see there).
 func (s *Service) subscribe(id uint64) (chan View, View, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,8 +210,21 @@ func (s *Service) notifyLocked(j *job) {
 	for ch := range j.subs {
 		select {
 		case ch <- v:
-		default: // slow subscriber: drop this update, not the service
+			continue
+		default:
 		}
+		if !v.State.Terminal() {
+			continue // slow subscriber: drop this progress update, not the service
+		}
+		// The terminal view must land, or the stream never ends: discard
+		// the oldest queued view to make room. The send cannot block —
+		// only notifyLocked sends, under s.mu, and the reader only
+		// drains.
+		select {
+		case <-ch:
+		default:
+		}
+		ch <- v
 	}
 	if s.opts.OnUpdate != nil {
 		s.opts.OnUpdate(v)

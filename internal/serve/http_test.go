@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hbmsim/internal/sweep"
 )
 
 func postJob(t *testing.T, url string, spec Spec) *http.Response {
@@ -113,6 +115,74 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 must carry Retry-After")
+	}
+}
+
+// TestHTTPOversizedSpec413: a spec body over maxSpecBytes is refused
+// with 413 before it is buffered, and the service keeps serving.
+func TestHTTPOversizedSpec413(t *testing.T) {
+	s := openTestService(t, t.TempDir(), nil)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"kind":"sim","name":"` + strings.Repeat("a", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec status %d, want 413", resp.StatusCode)
+	}
+
+	resp = postJob(t, ts.URL, testSimSpec())
+	v := decodeView(t, resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after 413: status %d, want 202", resp.StatusCode)
+	}
+	waitState(t, s, v.ID, StateDone)
+}
+
+// TestTerminalEventSurvivesFullBuffer: a subscriber whose buffer is
+// already full of progress updates when the job finishes still receives
+// the terminal update, so its SSE stream ends.
+func TestTerminalEventSurvivesFullBuffer(t *testing.T) {
+	block := make(chan struct{})
+	var svc *Service
+	s := openTestService(t, t.TempDir(), func(o *Options) {
+		o.Workers = 1
+		o.testHookBeforeJob = func(j *job) {
+			<-block
+			for i := 0; i < 64; i++ {
+				svc.pushProgress(j, sweep.Progress{Completed: i, Total: 64})
+			}
+		}
+	})
+	svc = s
+	defer s.Close()
+
+	v, err := s.Submit(testSimSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _, ok := s.subscribe(v.ID)
+	if !ok {
+		t.Fatal("subscribe: job not found")
+	}
+	defer s.unsubscribe(v.ID, ch)
+	close(block)
+	waitState(t, s, v.ID, StateDone)
+
+	var got []View
+	for len(ch) > 0 {
+		got = append(got, <-ch)
+	}
+	if len(got) != cap(ch) {
+		t.Fatalf("drained %d queued updates, want a full buffer of %d", len(got), cap(ch))
+	}
+	if last := got[len(got)-1]; last.State != StateDone {
+		t.Fatalf("last queued update is %s, want the terminal done", last.State)
 	}
 }
 

@@ -543,6 +543,57 @@ func TestServeMetricsRegistered(t *testing.T) {
 	}
 }
 
+// TestSimJobProgressFromCursors pins a sim job's progress, which is read
+// from the simulator's cursors between Steps rather than counted by an
+// observer: monotone, with updates mid-run, and a final completed==total.
+func TestSimJobProgressFromCursors(t *testing.T) {
+	var views []View // appended under the service's lock, read after done
+	done := make(chan struct{})
+	s := openTestService(t, t.TempDir(), func(o *Options) {
+		o.Workers = 1
+		o.OnUpdate = func(v View) {
+			views = append(views, v)
+			if v.State.Terminal() {
+				close(done)
+			}
+		}
+	})
+	defer s.Close()
+	spec := testSimSpec()
+	spec.Workload.Size = 20000 // 80000 refs, several 16384-tick progress periods
+	if _, err := s.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no terminal update")
+	}
+	if last := views[len(views)-1]; last.State != StateDone {
+		t.Fatalf("job ended %s: %s", last.State, last.Error)
+	}
+	prev, mid := -1, 0
+	for _, v := range views {
+		if v.Progress == nil {
+			continue
+		}
+		p := v.Progress
+		if p.Completed < prev {
+			t.Fatalf("progress went backwards: %d after %d", p.Completed, prev)
+		}
+		if p.Completed > 0 && p.Completed < p.Total {
+			mid++
+		}
+		prev = p.Completed
+	}
+	if mid == 0 {
+		t.Error("no progress update before completion")
+	}
+	if prev != 80000 {
+		t.Errorf("final progress %d, want 80000", prev)
+	}
+}
+
 // TestProgressEvents pins that a sweep job publishes monotone progress
 // with a final completed==total update.
 func TestProgressEvents(t *testing.T) {

@@ -46,29 +46,36 @@ func (s *Service) runSim(ctx context.Context, j *job) (*Payload, error) {
 	// fast-forward path from jumping across a checkpoint tick.
 	sim.SetBoundary(every)
 
-	obs := &simProgress{svc: s, job: j, total: int(wl.TotalRefs()), start: time.Now()}
+	// Progress is read from the simulator's cursors between Steps, so a
+	// job attaches no observer unless it tracks the optimality gap, and
+	// its contention-free stretches stay batched. Counting from the
+	// cursors also credits the serves a resumed run does not replay, so
+	// progress is monotone across restarts.
+	prog := &simProgress{svc: s, job: j, total: int(wl.TotalRefs()), start: time.Now()}
 	if s.opts.TrackOptGap {
-		// The tracker is attached ahead of the progress observer so its
-		// per-tick gauge refresh runs before flush snapshots it. Gauges in
-		// the shared registry are last-writer-wins across concurrent sim
-		// jobs; the per-job OptGapView published by flush is authoritative.
-		obs.tracker = telemetry.NewOptTracker(s.opts.Metrics, wl.Cores(),
+		// Gauges in the shared registry are last-writer-wins across
+		// concurrent sim jobs; the per-job OptGapView published by flush
+		// is authoritative.
+		prog.tracker = telemetry.NewOptTracker(s.opts.Metrics, wl.Cores(),
 			cfg.HBMSlots, cfg.Channels, model.Tick(s.opts.OptGapWindow))
-		sim.SetObserver(core.NewMultiObserver(obs.tracker, obs))
-	} else {
-		sim.SetObserver(obs)
+		sim.SetObserver(prog.tracker)
 	}
-	// The resumed simulator does not replay past serves; count them as
-	// already completed so progress is monotone across restarts.
-	obs.served = servedSoFar(sim, wl)
 
-	const ctxCheckMask = 1<<12 - 1 // poll ctx every 4096 ticks
+	const (
+		ctxCheckMask  = 1<<12 - 1 // poll ctx every 4096 Steps
+		progressTicks = 1 << 14   // publish progress every 16384 ticks
+	)
+	nextProgress := (sim.Tick()/progressTicks + 1) * progressTicks
 	var steps uint64
 	for sim.Step() {
 		if every > 0 && sim.Tick()%every == 0 {
 			if err := s.writeSnapshot(ctx, sim, snapPath); err != nil {
 				return nil, err
 			}
+		}
+		if t := sim.Tick(); t >= nextProgress {
+			prog.flush(prog.total-sim.Remaining(), false)
+			nextProgress = (t/progressTicks + 1) * progressTicks
 		}
 		steps++
 		if steps&ctxCheckMask == 0 && ctx.Err() != nil {
@@ -81,7 +88,7 @@ func (s *Service) runSim(ctx context.Context, j *job) (*Payload, error) {
 			return nil, context.Cause(ctx)
 		}
 	}
-	obs.flush(true)
+	prog.flush(prog.total, true)
 	res := sim.Result()
 	if res.Truncated {
 		return &Payload{Sim: res}, fmt.Errorf("simulation truncated at max_ticks=%d before all cores finished", cfg.MaxTicks)
@@ -147,54 +154,27 @@ func writeSnapshotFile(ctx context.Context, sim *core.Sim, path string) error {
 	return os.Rename(tmp, path)
 }
 
-// servedSoFar estimates references already served before this (resumed)
-// run from the simulator's per-core cursors.
-func servedSoFar(sim *core.Sim, wl *trace.Workload) int {
-	total := int(wl.TotalRefs())
-	rem := sim.Remaining()
-	if rem > total {
-		return 0
-	}
-	return total - rem
-}
-
-// simProgress counts serves and pushes throttled progress updates into
-// the job (and from there to SSE subscribers and /progress), along with
-// the live optimality snapshot when a tracker is attached.
+// simProgress pushes a sim job's progress updates into the job (and
+// from there to SSE subscribers and /progress), along with the live
+// optimality snapshot when a tracker is attached.
 type simProgress struct {
-	core.NopObserver
 	svc     *Service
 	job     *job
 	tracker *telemetry.OptTracker
-	served  int
 	total   int
 	start   time.Time
-	ticks   uint64
 }
 
-func (p *simProgress) OnServe(model.CoreID, model.PageID, model.Tick, model.Tick) {
-	p.served++
-}
-
-func (p *simProgress) OnTickEnd(model.Tick, int, int) {
-	p.ticks++
-	if p.ticks&(1<<14-1) == 0 { // every 16384 ticks
-		p.flush(false)
-	}
-}
-
-// flush publishes the current counts as a sweep.Progress (the service's
-// single progress currency), plus the optimality snapshot when tracked.
-// It runs on the simulation goroutine, so reading the tracker races with
-// nothing.
-func (p *simProgress) flush(final bool) {
+// flush publishes served of total references as a sweep.Progress (the
+// service's single progress currency), plus the optimality snapshot when
+// tracked. It runs on the simulation goroutine, so reading the tracker
+// races with nothing.
+func (p *simProgress) flush(served int, final bool) {
 	elapsed := time.Since(p.start)
-	prog := sweep.Progress{Completed: p.served, Total: p.total, Elapsed: elapsed}
-	if final {
-		prog.Completed = p.total
-	} else if p.served > 0 && p.served < p.total {
-		perRef := elapsed / time.Duration(p.served)
-		prog.ETA = perRef * time.Duration(p.total-p.served)
+	prog := sweep.Progress{Completed: served, Total: p.total, Elapsed: elapsed}
+	if !final && served > 0 && served < p.total {
+		perRef := elapsed / time.Duration(served)
+		prog.ETA = perRef * time.Duration(p.total-served)
 	}
 	var og *OptGapView
 	if p.tracker != nil {

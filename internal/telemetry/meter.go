@@ -10,7 +10,9 @@ import (
 // into atomic instruments in a metrics.Registry, so a live /metrics or
 // /debug/vars endpoint can watch a running simulation from another
 // goroutine. Every callback is a handful of atomic adds — cheap enough for
-// the tick loop — and, like every observer, it never changes results.
+// the tick loop — and, like every observer, it never changes results. It
+// folds fast-forwarded stretches (core.StretchObserver), so attaching it
+// leaves the simulator's batched path in place.
 //
 // Registered series (all prefixed hbmsim_):
 //
@@ -95,4 +97,26 @@ func (m *Meter) OnRemap(model.Tick, []int32, []int32) { m.remaps.Inc() }
 func (m *Meter) OnTickEnd(_ model.Tick, depth, _ int) {
 	m.ticks.Inc()
 	m.queueDepth.Observe(float64(depth))
+}
+
+// OnStretch implements core.StretchObserver, so a metered simulation
+// keeps its fast-forwarded stretches batched: the stretch's n ticks and
+// n*len(active) serves are counted in O(len(active)). Every observation
+// is an integer and the sums stay far below 2^53, so ObserveN's sums are
+// exact and the exposition is byte-identical to a per-tick replay.
+func (m *Meter) OnStretch(_, n model.Tick, active []model.CoreID, first []model.Tick) bool {
+	later := uint64(n-1) * uint64(len(active)) // unit-response serves after each core's first
+	hits := later
+	for _, r := range first {
+		if r == 1 {
+			hits++
+		}
+		m.response.Observe(float64(r))
+	}
+	m.serves.Add(uint64(n) * uint64(len(active)))
+	m.hits.Add(hits)
+	m.response.ObserveN(1, later)
+	m.ticks.Add(uint64(n))
+	m.queueDepth.ObserveN(0, uint64(n))
+	return true
 }

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"hbmsim/internal/trace"
@@ -35,9 +36,13 @@ func TestMixedBuildsDisjointComponents(t *testing.T) {
 }
 
 func TestMixedSeedsDistinctAcrossComponents(t *testing.T) {
+	// Build runs the generators concurrently, so the tally is locked.
+	var mu sync.Mutex
 	seen := map[int64]int{}
 	gen := func(seed int64) (trace.Trace, error) {
+		mu.Lock()
 		seen[seed]++
+		mu.Unlock()
 		return trace.Trace{1}, nil
 	}
 	if _, err := Mixed([]MixedSpec{

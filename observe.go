@@ -23,7 +23,15 @@ type (
 	// NopObserver is an Observer with empty callbacks, for embedding.
 	NopObserver = core.NopObserver
 	// MultiObserver fans events out to several observers in attach order.
+	// It folds fast-forwarded stretches only when every member does.
 	MultiObserver = core.MultiObserver
+	// StretchObserver is an Observer that folds a fast-forwarded
+	// contention-free stretch in one OnStretch call instead of receiving
+	// its per-tick OnServe and OnTickEnd events, so attaching it keeps the
+	// simulator's batched path. Implement it on observers that only count
+	// (Meter does); any other observer makes the simulator replay every
+	// stretch tick by tick.
+	StretchObserver = core.StretchObserver
 
 	// Timeline collects windowed time series: per-window hit rate, queue
 	// depth, channel utilization, per-core serve counts, and Jain's
