@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR12.json
+BENCH_OUT ?= BENCH_PR13.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent.
@@ -23,7 +23,7 @@ BENCH_OUT ?= BENCH_PR12.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR10.json
+BENCH_BASE ?= BENCH_PR12.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -128,10 +128,12 @@ profile:
 		-o profiles/core.test ./internal/core
 	@echo "wrote profiles/cpu.out profiles/mem.out (binary: profiles/core.test)"
 
-# Short fuzzing pass over the trace codecs and the checkpoint format.
+# Short fuzzing pass over the trace codecs, page renumbering and the
+# checkpoint format.
 fuzz:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzRenumber -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzResumeCorrupt -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=30s ./internal/core/
@@ -141,6 +143,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
+	$(GO) test -fuzz=FuzzRenumber -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzResumeCorrupt -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/

@@ -346,7 +346,9 @@ func BFSWorkload(cores int, cfg BFSConfig, seed int64) (*Workload, error) {
 // MixedSpec assigns cores to one generator inside a mixed workload.
 type MixedSpec = workloads.MixedSpec
 
-// TraceGen produces one core's trace from a seed.
+// TraceGen produces one core's trace from a seed. The workload builders
+// copy the returned trace while renumbering it and never write into it,
+// so a TraceGen may return a slice it shares or keeps.
 type TraceGen = workloads.Gen
 
 // MixedWorkload builds a heterogeneous workload: different cores run

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"hbmsim/internal/membackend"
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
+	"hbmsim/internal/workloads"
 )
 
 // benchWorkload builds a contended synthetic workload: p cores, each
@@ -256,4 +258,34 @@ func BenchmarkSimObserverNop(b *testing.B) {
 
 func BenchmarkSimObserverMulti(b *testing.B) {
 	benchSimObserver(b, NewMultiObserver(NopObserver{}, NopObserver{}))
+}
+
+// BenchmarkCheckpoint measures one snapshot of a simulator mid-run, on
+// the contended SpGEMM shape a served job checkpoints (16 cores, N=64,
+// 64-byte pages, dynamic priority), taken at tick 65536 to io.Discard.
+// Every iteration checkpoints the same Sim, as a long job does at each
+// checkpoint interval.
+func BenchmarkCheckpoint(b *testing.B) {
+	wl, err := workloads.SpGEMMWorkload(16, workloads.SpGEMMConfig{N: 64, PageBytes: 64}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{HBMSlots: 256, Channels: 1, Arbiter: arbiter.Priority,
+		Permuter: arbiter.Dynamic, RemapPeriod: 10000, Seed: 1}, wl.Raw())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.SetBoundary(65536)
+	for s.Tick() < 65536 && s.Step() {
+	}
+	if s.Done() {
+		b.Fatal("workload finished before the checkpoint tick")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Checkpoint(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -167,10 +167,15 @@ func combineFingerprint(configHash, workloadHash uint64) uint64 {
 	return uint64(f)
 }
 
-// fingerprint computes the simulator's own Fingerprint. The traces held
-// by the cores are dense, so each reference is translated back to its
-// original ID — making the value identical to Fingerprint(cfg, raw).
+// fingerprint returns the simulator's own Fingerprint, computed on first
+// use: hashing every reference costs O(refs), and a long run checkpoints
+// many times. The traces held by the cores are dense, so each reference
+// is translated back to its original ID — making the value identical to
+// Fingerprint(cfg, raw).
 func (s *Sim) fingerprint() uint64 {
+	if s.fpSet {
+		return s.fp
+	}
 	f := newFNV()
 	f.u64(uint64(len(s.traces)))
 	for i := range s.traces {
@@ -180,7 +185,8 @@ func (s *Sim) fingerprint() uint64 {
 			f.u64(uint64(s.orig(p)))
 		}
 	}
-	return combineFingerprint(ConfigHash(s.cfg), uint64(f))
+	s.fp, s.fpSet = combineFingerprint(ConfigHash(s.cfg), uint64(f)), true
+	return s.fp
 }
 
 // Checkpoint writes a resumable snapshot of the simulator's state to w.

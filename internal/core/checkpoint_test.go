@@ -10,6 +10,7 @@ import (
 	"hbmsim/internal/arbiter"
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
+	"hbmsim/internal/snap"
 )
 
 // streamRecorder captures the full Observer event stream as formatted lines, so
@@ -216,6 +217,76 @@ func TestCheckpointAtCompletion(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.Result(), s.Result()) {
 		t.Fatal("resumed result differs from original")
+	}
+}
+
+// TestCheckpointFingerprintCached pins the fingerprint a Sim computes once
+// and reuses: every checkpoint of one Sim, whatever its tick, and every
+// checkpoint of a Sim resumed from one carries Fingerprint(cfg, raw),
+// and Resume still refuses a different workload.
+func TestCheckpointFingerprintCached(t *testing.T) {
+	cfg := Config{HBMSlots: 8, Channels: 1, Seed: 1}
+	ts := checkpointWorkload() // sparse IDs, so the dense ones translate back
+	want := Fingerprint(cfg, ts)
+	header := func(b []byte) uint64 {
+		t.Helper()
+		r := snap.NewReader(bytes.NewReader(b))
+		var magic [8]byte
+		r.Raw(magic[:])
+		r.U64() // format version
+		fp := r.U64()
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	checkpoint := func(s *Sim) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if fp := header(buf.Bytes()); fp != want {
+			t.Fatalf("checkpoint at tick %d carries fingerprint %#x, want %#x", s.Tick(), fp, want)
+		}
+		return buf.Bytes()
+	}
+
+	s, err := New(cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps [][]byte
+	for i := 0; ; i++ {
+		if i%25 == 0 {
+			snaps = append(snaps, checkpoint(s))
+		}
+		if !s.Step() {
+			break
+		}
+	}
+	snaps = append(snaps, checkpoint(s))
+	if len(snaps) < 3 {
+		t.Fatalf("only %d checkpoints taken", len(snaps))
+	}
+
+	r, err := Resume(bytes.NewReader(snaps[1]), cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10 && r.Step(); i++ {
+	}
+	checkpoint(r)
+
+	other := make([][]model.PageID, len(ts))
+	for i, tr := range ts {
+		other[i] = append([]model.PageID(nil), tr...)
+	}
+	other[3][len(other[3])-1] = 3999 // a page core 3 never referenced
+	for _, b := range snaps {
+		if _, err := Resume(bytes.NewReader(b), cfg, other); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("resume under a different workload: got %v, want ErrSnapshotMismatch", err)
+		}
 	}
 }
 

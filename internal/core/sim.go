@@ -153,6 +153,11 @@ type Sim struct {
 	// sharing reqTick's backing allocation. It is declared after every
 	// per-tick field so the hot fields keep their layout.
 	first []model.Tick
+
+	// fp caches fingerprint() once fpSet: the config and traces never
+	// change after New, so the workload is hashed at most once per Sim.
+	fp    uint64
+	fpSet bool
 }
 
 // New builds a simulator for the given per-core reference sequences.

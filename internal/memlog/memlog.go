@@ -17,10 +17,18 @@ import (
 	"hbmsim/internal/trace"
 )
 
+// chunkLen is the number of accesses a log chunk holds (64 KiB of
+// addresses). The log grows a chunk at a time, so recording never copies
+// what it has already logged.
+const chunkLen = 1 << 13
+
 // Recorder owns a virtual address space and the access log.
 type Recorder struct {
-	addrs []uint64
-	next  uint64
+	// full holds the filled log chunks in logging order; cur is the
+	// chunk being filled.
+	full [][]uint64
+	cur  []uint64
+	next uint64
 }
 
 // NewRecorder returns an empty recorder.
@@ -38,14 +46,30 @@ func (r *Recorder) reserve(bytes, align uint64) uint64 {
 }
 
 // record appends one access.
-func (r *Recorder) record(addr uint64) { r.addrs = append(r.addrs, addr) }
+func (r *Recorder) record(addr uint64) {
+	if len(r.cur) == cap(r.cur) {
+		r.spill()
+	}
+	r.cur = append(r.cur, addr)
+}
+
+// spill retires the current chunk, once it is full, and starts a new one.
+func (r *Recorder) spill() {
+	if r.cur != nil {
+		r.full = append(r.full, r.cur)
+	}
+	r.cur = make([]uint64, 0, chunkLen)
+}
 
 // Len returns the number of recorded accesses.
-func (r *Recorder) Len() int { return len(r.addrs) }
+func (r *Recorder) Len() int { return len(r.full)*chunkLen + len(r.cur) }
 
 // Reset discards the recorded accesses but keeps allocations in place, so
 // a warm-up run can be discarded before the measured run.
-func (r *Recorder) Reset() { r.addrs = r.addrs[:0] }
+func (r *Recorder) Reset() {
+	r.full = nil
+	r.cur = r.cur[:0]
+}
 
 // Trace maps the recorded byte addresses to a page-reference trace with
 // the given page size in bytes.
@@ -54,10 +78,11 @@ func (r *Recorder) Trace(pageBytes int) (trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(trace.Trace, len(r.addrs))
-	for i, a := range r.addrs {
-		out[i] = m.Page(a)
+	out := make(trace.Trace, r.Len())
+	for i, c := range r.full {
+		m.Pages(out[i*chunkLen:], c)
 	}
+	m.Pages(out[len(r.full)*chunkLen:], r.cur)
 	return out, nil
 }
 

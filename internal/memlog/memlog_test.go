@@ -1,6 +1,8 @@
 package memlog
 
 import (
+	"math/bits"
+	"runtime"
 	"testing"
 
 	"hbmsim/internal/model"
@@ -142,5 +144,94 @@ func TestGenericTypes(t *testing.T) {
 	s.Set(0, "hi")
 	if s.Get(0) != "hi" {
 		t.Fatal("string slice broken")
+	}
+}
+
+// TestChunkBoundaries logs across several chunk boundaries and checks
+// Len, Reset and Trace against an unchunked reference log.
+func TestChunkBoundaries(t *testing.T) {
+	rec := NewRecorder()
+	s := NewSlice[int64](rec, 1000, 8)
+	var ref []uint64
+	log := func(n int) {
+		for i := 0; i < n; i++ {
+			j := (i * 7919) % s.Len()
+			s.Get(j)
+			ref = append(ref, s.addr(j))
+			if rec.Len() != len(ref) {
+				t.Fatalf("Len %d after %d accesses", rec.Len(), len(ref))
+			}
+		}
+	}
+	check := func() {
+		t.Helper()
+		for _, page := range []int{1, 8, 24, 4096} {
+			tr, err := rec.Trace(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tr) != len(ref) {
+				t.Fatalf("page %d: trace has %d refs, want %d", page, len(tr), len(ref))
+			}
+			for i, a := range ref {
+				if want := model.PageID(a / uint64(page)); tr[i] != want {
+					t.Fatalf("page %d: ref %d is page %d, want %d", page, i, tr[i], want)
+				}
+			}
+		}
+	}
+
+	log(3*chunkLen + 17)
+	check()
+
+	// Reset mid-chunk, then refill past a boundary.
+	rec.Reset()
+	ref = ref[:0]
+	if rec.Len() != 0 {
+		t.Fatalf("Len %d after Reset", rec.Len())
+	}
+	check()
+	log(chunkLen + 5)
+	check()
+
+	// Reset with the current chunk exactly full.
+	rec.Reset()
+	ref = ref[:0]
+	log(chunkLen)
+	check()
+	rec.Reset()
+	ref = ref[:0]
+	log(2 * chunkLen)
+	check()
+}
+
+// TestRecordAllocatesPerChunk pins the log's growth: logging n accesses
+// allocates once per chunk (plus the chunk list's own growth), and the
+// bytes allocated stay within one chunk of the log's size, so nothing is
+// copied as the log grows.
+func TestRecordAllocatesPerChunk(t *testing.T) {
+	const n = 40 * chunkLen
+	var rec *Recorder
+	record := func() {
+		rec = NewRecorder()
+		s := NewSlice[int64](rec, 64, 8)
+		for i := 0; i < n; i++ {
+			s.Get(i & 63)
+		}
+	}
+	chunks := n / chunkLen
+	if allocs, max := testing.AllocsPerRun(5, record), float64(chunks+bits.Len(uint(chunks))+4); allocs > max {
+		t.Fatalf("logging %d accesses made %v allocations, want at most %v", n, allocs, max)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	record()
+	runtime.ReadMemStats(&after)
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(8*(n+chunkLen)+4096); got > max {
+		t.Fatalf("logging %d accesses allocated %d bytes, want at most %d", n, got, max)
+	}
+	if rec.Len() != n {
+		t.Fatalf("Len %d, want %d", rec.Len(), n)
 	}
 }

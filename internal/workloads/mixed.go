@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 
+	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
 )
 
@@ -20,12 +21,14 @@ type MixedSpec struct {
 // Mixed builds a heterogeneous workload: different cores run different
 // programs (the paper's future-work direction "test different workloads";
 // its own experiments give every core the same program). Components are
-// laid out in spec order; the result is renumbered into disjoint pages.
+// laid out in spec order, each numbering its pages after the previous
+// component's, so the result is disjoint without a second renumbering.
 func Mixed(specs []MixedSpec, baseSeed int64) (*trace.Workload, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("workloads: mixed workload needs at least one component")
 	}
 	var traces []trace.Trace
+	var next model.PageID
 	name := "mixed"
 	seed := baseSeed
 	for i, sp := range specs {
@@ -35,13 +38,14 @@ func Mixed(specs []MixedSpec, baseSeed int64) (*trace.Workload, error) {
 		if sp.Gen == nil {
 			return nil, fmt.Errorf("workloads: component %d has no generator", i)
 		}
-		part, err := Build(sp.Name, sp.Cores, seed, sp.Gen)
+		part, unique, err := build(sp.Name, sp.Cores, seed, sp.Gen, next)
 		if err != nil {
 			return nil, fmt.Errorf("workloads: component %d (%s): %w", i, sp.Name, err)
 		}
+		next += unique
 		seed += int64(sp.Cores)
 		traces = append(traces, part.Traces...)
 		name += fmt.Sprintf("+%dx%s", sp.Cores, sp.Name)
 	}
-	return trace.NewWorkload(name, traces), nil
+	return trace.Raw(name, traces), nil
 }

@@ -78,3 +78,36 @@ func TestMixedErrors(t *testing.T) {
 		t.Fatal("generator error not propagated")
 	}
 }
+
+// TestMixedMatchesNewWorkload pins Mixed's offset layout to renumbering
+// the concatenated component traces with trace.NewWorkload.
+func TestMixedMatchesNewWorkload(t *testing.T) {
+	specs := []MixedSpec{
+		{Cores: 2, Name: "sort", Gen: func(seed int64) (trace.Trace, error) {
+			return SortTrace(SortConfig{N: 200, PageBytes: 64}, seed)
+		}},
+		{Cores: 3, Name: "bfs", Gen: func(seed int64) (trace.Trace, error) {
+			return BFSTrace(BFSConfig{Vertices: 50, PageBytes: 8}, seed)
+		}},
+		{Cores: 1, Name: "loop", Gen: func(int64) (trace.Trace, error) {
+			return AdversarialTrace(AdversarialConfig{Pages: 16, Reps: 2})
+		}},
+	}
+	got, err := Mixed(specs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []trace.Trace
+	seed := int64(5)
+	for _, sp := range specs {
+		for i := 0; i < sp.Cores; i++ {
+			tr, err := sp.Gen(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = append(raw, tr)
+			seed++
+		}
+	}
+	assertSameWorkload(t, got, trace.NewWorkload(got.Name, raw))
+}

@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"sync"
 
+	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
 )
 
@@ -28,36 +29,79 @@ import (
 // overridden: 4 KiB, the usual OS page.
 const DefaultPageBytes = 4096
 
-// Gen produces one core's page trace from a seed.
+// Gen produces one core's page trace from a seed. Build renumbers a
+// Gen's trace into a slice of its own and never writes into the one the
+// Gen returned, so a Gen may return a slice it shares or keeps.
 type Gen func(seed int64) (trace.Trace, error)
 
 // Build runs gen once per core (with seeds baseSeed, baseSeed+1, ...) in
-// parallel and assembles the disjoint workload. Generation is embarrassingly
-// parallel, so it fans out across goroutines.
+// parallel and assembles the disjoint workload: core i's pages follow
+// core i-1's, each core numbered densely in first-appearance order, as
+// trace.NewWorkload numbers them. Generation is embarrassingly parallel,
+// so it fans out across goroutines, and each core is renumbered in the
+// goroutine that generated it.
 func Build(name string, cores int, baseSeed int64, gen Gen) (*trace.Workload, error) {
+	wl, _, err := build(name, cores, baseSeed, gen, 0)
+	return wl, err
+}
+
+// build is Build with the workload's pages numbered from first rather
+// than 0; it also returns the workload's distinct-page count.
+func build(name string, cores int, baseSeed int64, gen Gen, first model.PageID) (*trace.Workload, model.PageID, error) {
 	if cores <= 0 {
-		return nil, fmt.Errorf("workloads: core count must be positive, got %d", cores)
+		return nil, 0, fmt.Errorf("workloads: core count must be positive, got %d", cores)
 	}
 	traces := make([]trace.Trace, cores)
+	unique := make([]int, cores)
 	errs := make([]error, cores)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < cores; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			traces[i], errs[i] = gen(baseSeed + int64(i))
-		}(i)
-	}
-	wg.Wait()
+	parallel(cores, func(i int) {
+		raw, err := gen(baseSeed + int64(i))
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		traces[i] = make(trace.Trace, len(raw))
+		unique[i] = trace.Renumber(traces[i], raw, 0)
+	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("workloads: generating core %d: %w", i, err)
+			return nil, 0, fmt.Errorf("workloads: generating core %d: %w", i, err)
 		}
 	}
-	return trace.NewWorkload(name, traces), nil
+	// Each core now numbers its pages from 0; shift it past the cores
+	// before it.
+	bases := make([]model.PageID, cores)
+	next := first
+	for i, u := range unique {
+		bases[i] = next
+		next += model.PageID(u)
+	}
+	parallel(cores, func(i int) {
+		if b := bases[i]; b != 0 {
+			tr := traces[i]
+			for j := range tr {
+				tr[j] += b
+			}
+		}
+	})
+	return trace.Raw(name, traces), next - first, nil
+}
+
+// parallel calls f(0), ..., f(n-1) on up to GOMAXPROCS goroutines at a
+// time and returns once every call has returned.
+func parallel(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			f(i)
+		}()
+	}
+	wg.Wait()
 }
 
 // Imbalance truncates each core's trace to a fraction of its length that

@@ -83,3 +83,68 @@ func TestImbalanceKeepsAtLeastOneRef(t *testing.T) {
 		t.Fatal("imbalance truncated a trace to zero")
 	}
 }
+
+// TestBuildMatchesNewWorkload pins Build's parallel renumbering to
+// trace.NewWorkload over the same per-core traces.
+func TestBuildMatchesNewWorkload(t *testing.T) {
+	gen := func(seed int64) (trace.Trace, error) {
+		return SpGEMMTrace(SpGEMMConfig{N: 20, PageBytes: 64}, seed)
+	}
+	got, err := Build("w", 6, 4, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]trace.Trace, 6)
+	for i := range raw {
+		if raw[i], err = gen(4 + int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameWorkload(t, got, trace.NewWorkload("w", raw))
+}
+
+// TestBuildNeverWritesGenSlice hands every core the same slice, as a Gen
+// that caches its output may. The workload must equal the one built from
+// fresh copies, and the shared slice must come back untouched. Build
+// reads the slice from every generation goroutine at once, so this test
+// is also the race detector's (make test-race).
+func TestBuildNeverWritesGenSlice(t *testing.T) {
+	shared := trace.Trace{40, 41, 40, 42, 43, 41, 40}
+	orig := append(trace.Trace(nil), shared...)
+	got, err := Build("w", 8, 1, func(int64) (trace.Trace, error) { return shared, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Build("w", 8, 1, func(int64) (trace.Trace, error) {
+		return append(trace.Trace(nil), orig...), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameWorkload(t, got, want)
+	for j := range orig {
+		if shared[j] != orig[j] {
+			t.Fatalf("Build wrote the Gen's slice: %v, was %v", shared, orig)
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func assertSameWorkload(t *testing.T, got, want *trace.Workload) {
+	t.Helper()
+	if got.Name != want.Name || got.Cores() != want.Cores() {
+		t.Fatalf("workload %q with %d cores, want %q with %d", got.Name, got.Cores(), want.Name, want.Cores())
+	}
+	for i := range want.Traces {
+		if len(got.Traces[i]) != len(want.Traces[i]) {
+			t.Fatalf("core %d: %d refs, want %d", i, len(got.Traces[i]), len(want.Traces[i]))
+		}
+		for j, p := range want.Traces[i] {
+			if got.Traces[i][j] != p {
+				t.Fatalf("core %d ref %d: page %d, want %d", i, j, got.Traces[i][j], p)
+			}
+		}
+	}
+}
