@@ -1,6 +1,9 @@
 package core
 
-import "hbmsim/internal/model"
+import (
+	"hbmsim/internal/model"
+	"hbmsim/internal/trace"
+)
 
 // compactTraces renumbers the workload's pages into the dense space
 // [0, U) in first-appearance order (cores scanned in index order, each
@@ -42,81 +45,18 @@ scan:
 		return traces, nil, int(unique)
 	}
 
+	// One flat backing array for the whole workload: a single allocation.
 	total := 0
 	for _, tr := range traces {
 		total += len(tr)
 	}
-
-	// First-appearance numbering fused with the trace rewrite, into one
-	// flat backing array (a single allocation for the whole workload),
-	// in a single pass over the references. Compact ID ranges use a flat
-	// lookup table that doubles as larger IDs appear; the first ID past
-	// the threshold switches the assignment to a map (migrating the
-	// entries made so far), so genuinely sparse 64-bit IDs never
-	// allocate a giant table. This is construction-time work — the tick
-	// path never sees either structure.
-	const lutCap = 1 << 26
-	thresh := uint64(4*total) + 1024
-	if thresh > lutCap {
-		thresh = lutCap
-	}
-	lut := make([]int32, 1024)
-	for i := range lut {
-		lut[i] = -1
-	}
-	var m map[model.PageID]int32
-	origOf = make([]model.PageID, 0, 1024)
 	backing := make([]model.PageID, total)
 	dense = make([][]model.PageID, len(traces))
 	off := 0
 	for i, tr := range traces {
-		dt := backing[off : off+len(tr) : off+len(tr)]
+		dense[i] = backing[off : off+len(tr) : off+len(tr)]
 		off += len(tr)
-		for j, p := range tr {
-			id := int32(-1)
-			if m != nil {
-				if got, ok := m[p]; ok {
-					id = got
-				}
-			} else if uint64(p) < uint64(len(lut)) {
-				id = lut[p]
-			} else if uint64(p) < thresh {
-				// Grow the table past p (power-of-two steps, capped at
-				// the threshold); p itself is still unassigned.
-				nl := len(lut)
-				for uint64(nl) <= uint64(p) {
-					nl <<= 1
-				}
-				if uint64(nl) > thresh {
-					nl = int(thresh)
-				}
-				grown := make([]int32, nl)
-				n := copy(grown, lut)
-				for k := n; k < nl; k++ {
-					grown[k] = -1
-				}
-				lut = grown
-			} else {
-				// Sparse ID: abandon the table for a map, carrying over
-				// every assignment made so far (origOf has them all).
-				m = make(map[model.PageID]int32, 2*len(origOf)+1024)
-				for d, op := range origOf {
-					m[op] = int32(d)
-				}
-				lut = nil
-			}
-			if id < 0 {
-				id = int32(len(origOf))
-				origOf = append(origOf, p)
-				if m != nil {
-					m[p] = id
-				} else {
-					lut[p] = id
-				}
-			}
-			dt[j] = model.PageID(id)
-		}
-		dense[i] = dt
 	}
+	origOf = trace.RenumberAll(dense, traces)
 	return dense, origOf, len(origOf)
 }

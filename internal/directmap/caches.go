@@ -32,7 +32,7 @@ func NewAssoc(k int, kind replacement.Kind, seed int64) (*Assoc, error) {
 // NewAssocDense returns an empty fully-associative cache whose
 // replacement policy indexes flat slices instead of hashing page IDs —
 // no map operations on the Access path. Callers must renumber their
-// trace into the dense range [0, universe) first (see Compact);
+// trace into the dense range [0, universe) first (see trace.Renumber);
 // replacement decisions depend only on page identity, so the dense
 // cache's hit/miss sequence is bit-identical to NewAssoc's on the
 // original IDs.
@@ -45,26 +45,6 @@ func NewAssocDense(k int, kind replacement.Kind, seed int64, universe int) (*Ass
 		return nil, err
 	}
 	return &Assoc{k: k, policy: pol}, nil
-}
-
-// Compact renumbers a trace into the dense range [0, U) in
-// first-appearance order, returning the dense trace and U. The renaming
-// is a bijection on the referenced pages, so any identity-based cache
-// (Assoc, Transform's associative simulation target) behaves
-// identically on the result; value-hashing caches (Cache) must keep the
-// original trace, since renaming changes their conflict pattern.
-func Compact(tr []model.PageID) ([]model.PageID, int) {
-	ids := make(map[model.PageID]int32, 1024)
-	out := make([]model.PageID, len(tr))
-	for i, p := range tr {
-		id, ok := ids[p]
-		if !ok {
-			id = int32(len(ids))
-			ids[p] = id
-		}
-		out[i] = model.PageID(id)
-	}
-	return out, len(ids)
 }
 
 // Access touches one page and reports whether it hit.

@@ -7,6 +7,7 @@ import (
 
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
+	"hbmsim/internal/trace"
 )
 
 func TestMulAddMod61AgainstNaive(t *testing.T) {
@@ -260,8 +261,8 @@ func TestTransformFIFOOrder(t *testing.T) {
 // TestAssocDenseMatchesSparse drives the dense fully-associative cache
 // over a compacted trace and the map-based one over the original sparse
 // trace; the per-access hit/miss sequences must be identical, because
-// replacement decisions depend only on page identity and Compact is a
-// bijection.
+// replacement decisions depend only on page identity and renumbering is
+// a bijection.
 func TestAssocDenseMatchesSparse(t *testing.T) {
 	for _, kind := range []replacement.Kind{replacement.LRU, replacement.FIFO, replacement.Clock} {
 		rng := rand.New(rand.NewSource(21))
@@ -269,9 +270,10 @@ func TestAssocDenseMatchesSparse(t *testing.T) {
 		for i := range tr {
 			tr[i] = model.PageID(rng.Intn(64)*977 + 1<<33) // sparse IDs
 		}
-		dense, universe := Compact(tr)
+		dense := make([]model.PageID, len(tr))
+		universe := trace.Renumber(dense, tr, 0)
 		if universe != 64 {
-			t.Fatalf("Compact universe = %d, want 64", universe)
+			t.Fatalf("Renumber universe = %d, want 64", universe)
 		}
 		sparse, err := NewAssoc(16, kind, 7)
 		if err != nil {
@@ -289,20 +291,6 @@ func TestAssocDenseMatchesSparse(t *testing.T) {
 		if sparse.Hits() != dn.Hits() || sparse.Misses() != dn.Misses() {
 			t.Fatalf("%s: totals diverge: (%d,%d) vs (%d,%d)",
 				kind, sparse.Hits(), sparse.Misses(), dn.Hits(), dn.Misses())
-		}
-	}
-}
-
-// TestCompactFirstAppearance pins Compact's numbering order.
-func TestCompactFirstAppearance(t *testing.T) {
-	dense, u := Compact([]model.PageID{500, 9, 500, 1 << 40, 9})
-	want := []model.PageID{0, 1, 0, 2, 1}
-	if u != 3 {
-		t.Fatalf("universe = %d, want 3", u)
-	}
-	for i := range want {
-		if dense[i] != want[i] {
-			t.Fatalf("dense = %v, want %v", dense, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hbmsim/internal/directmap"
 	"hbmsim/internal/replacement"
 	"hbmsim/internal/report"
+	"hbmsim/internal/trace"
 	"hbmsim/internal/workloads"
 )
 
@@ -27,7 +28,8 @@ func ablDirectMapped(o Options) (*Outcome, error) {
 	// trace (bit-identical misses, no map ops on its Access path); the
 	// naive direct-mapped cache and the transform keep the original IDs,
 	// whose values their hashes depend on.
-	denseTr, uniq := directmap.Compact(tr)
+	denseTr := make(trace.Trace, len(tr))
+	uniq := trace.Renumber(denseTr, tr, 0)
 	k := uniq / 2
 	if k < 4 {
 		k = 4

@@ -57,6 +57,33 @@ func Renumber(dst, src Trace, base model.PageID) int {
 	return int(n)
 }
 
+// RenumberAll writes each src[i] into dst[i] with the pages of all the
+// traces renumbered from 0 in first-appearance order, scanning the
+// traces in index order through one table, so a page that two traces
+// share keeps one ID. It returns origOf: origOf[id] is the page
+// renumbered to id. Each dst[i] must be at least as long as src[i]; it
+// may be src[i] itself.
+func RenumberAll(dst, src [][]model.PageID) (origOf []model.PageID) {
+	refs := 0
+	for _, tr := range src {
+		refs += len(tr)
+	}
+	ids := newPageTable(refs)
+	for i, tr := range src {
+		out := dst[i][:len(tr)]
+		for j, p := range tr {
+			id := ids.get(p)
+			if id == 0 {
+				origOf = append(origOf, p)
+				id = int32(len(origOf))
+				ids.set(p, id)
+			}
+			out[j] = model.PageID(id - 1)
+		}
+	}
+	return origOf
+}
+
 // maxFlatPages caps a pageTable's flat slice at 2^26 entries (256 MiB).
 const maxFlatPages = 1 << 26
 
@@ -64,9 +91,8 @@ const maxFlatPages = 1 << 26
 // callers store a value plus one. Values live in a flat slice over
 // [0, max page] that grows as larger IDs are set, up to four entries per
 // reference the table was sized for plus 1024 (and at most
-// maxFlatPages); the first ID past that moves every value to a map — the
-// policy core.compactTraces follows — so a sparse 64-bit ID never
-// allocates a giant table.
+// maxFlatPages); the first ID past that moves every value to a map, so a
+// sparse 64-bit ID never allocates a giant table.
 type pageTable struct {
 	flat  []int32
 	limit uint64
