@@ -18,19 +18,21 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"time"
+	"strings"
 
 	"hbmsim"
 
+	"hbmsim/internal/core"
 	"hbmsim/internal/introspect"
 	"hbmsim/internal/report"
 	"hbmsim/internal/tracing"
+	"hbmsim/internal/workloads"
 )
 
 func main() {
 	var (
 		tracePath = flag.String("trace", "", "trace file produced by tracegen (binary or .txt)")
-		gen       = flag.String("gen", "", "built-in workload: sort|spgemm|densemm|stream|bfs|adversarial|uniform|zipf")
+		gen       = flag.String("gen", "", "built-in workload: "+strings.Join(workloads.Names(), "|"))
 		cores     = flag.Int("cores", 16, "cores for -gen workloads")
 		size      = flag.Int("size", 8000, "workload size for -gen (sort N, matrix dim, refs)")
 		pageBytes = flag.Int("page", 64, "page size in bytes for instrumented -gen workloads")
@@ -115,30 +117,19 @@ func main() {
 		defer root.End()
 	}
 
-	cfg := hbmsim.Config{
-		HBMSlots:    *k,
-		Channels:    *q,
-		Arbiter:     hbmsim.ArbiterFIFO,
-		Replacement: hbmsim.ReplaceLRU,
-		Permuter:    hbmsim.PermuterStatic,
-		RemapPeriod: hbmsim.Tick(*remap),
-		Seed:        *seed,
-	}
-	if cfg.Arbiter, err = hbmsim.ParseArbiter(*arb); err != nil {
-		fail(err)
-	}
-	if *repl == string(hbmsim.ReplaceBelady) {
-		cfg.Replacement = hbmsim.ReplaceBelady
-	} else if cfg.Replacement, err = hbmsim.ParseReplacement(*repl); err != nil {
-		fail(err)
-	}
-	if cfg.Mapping, err = hbmsim.ParseMapping(*mapping); err != nil {
-		fail(err)
-	}
-	if cfg.Permuter, err = hbmsim.ParsePermuter(*perm); err != nil {
-		fail(err)
-	}
-	if cfg.Backend, err = hbmsim.ParseMemBackend(*backend, *backendP); err != nil {
+	cfg, err := core.ConfigSpec{
+		HBMSlots:      *k,
+		Channels:      *q,
+		Arbiter:       *arb,
+		Replacement:   *repl,
+		Mapping:       *mapping,
+		Permuter:      *perm,
+		RemapPeriod:   *remap,
+		Backend:       *backend,
+		BackendParams: *backendP,
+		Seed:          *seed,
+	}.Config()
+	if err != nil {
 		fail(err)
 	}
 
@@ -157,8 +148,7 @@ func main() {
 		resumePath:      *resume,
 	}
 	// Opt-in live introspection: with -http unset no listener is opened and
-	// no observer is attached, leaving the run byte-identical to the plain
-	// path.
+	// no observer is attached.
 	if *httpAddr != "" {
 		tele.metrics = hbmsim.NewMetricsRegistry()
 		tele.progress = &introspect.Progress{}
@@ -173,14 +163,7 @@ func main() {
 		slog.Info("introspection listening", "addr", bound,
 			"endpoints", "/metrics /progress /debug/vars /debug/pprof/")
 	}
-	var res *hbmsim.Result
-	var col *collectors
-	var rs runStats
-	if tele.enabled() {
-		res, col, rs, err = runObserved(ctx, cfg, wl, tele)
-	} else {
-		res, rs, err = runPlain(cfg, wl)
-	}
+	res, col, rs, err := runObserved(ctx, cfg, wl, tele)
 	if err != nil {
 		// A truncated run still has meaningful partial metrics; anything
 		// else (e.g. an unwritable output file) is fatal.
@@ -200,10 +183,10 @@ func main() {
 		return
 	}
 
-	bounds := hbmsim.LowerBounds(wl, *k, *q)
+	bounds := hbmsim.LowerBounds(wl, *k, cfg.Channels)
 	title := fmt.Sprintf("Simulation of %s (p=%d, k=%d, q=%d, %s+%s, %s, permuter=%s T=%d)",
-		wl.Name, wl.Cores(), *k, *q, *arb, *repl, *mapping, *perm, *remap)
-	if *backend != string(hbmsim.BackendReference) {
+		wl.Name, wl.Cores(), *k, cfg.Channels, *arb, *repl, *mapping, *perm, *remap)
+	if *backend != "" && *backend != string(hbmsim.BackendReference) {
 		title += fmt.Sprintf(" [backend=%s]", *backend)
 	}
 	tbl := report.NewTable(title, "metric", "value")
@@ -250,30 +233,6 @@ func main() {
 	}
 }
 
-// runPlain executes the simulation with no telemetry attached — the
-// fastest path, on which the fast-forward batcher can skip whole
-// contention-free stretches per Step — and reports wall-clock stats.
-func runPlain(cfg hbmsim.Config, wl *hbmsim.Workload) (*hbmsim.Result, runStats, error) {
-	var rs runStats
-	sim, err := hbmsim.NewSim(cfg, wl)
-	if err != nil {
-		return nil, rs, err
-	}
-	start := time.Now()
-	for sim.Step() {
-	}
-	rs = runStats{
-		elapsed:     time.Since(start),
-		ffTicks:     sim.FastForwardedTicks(),
-		ffStretches: sim.FastForwardedStretches(),
-	}
-	res := sim.Result()
-	if res.Truncated {
-		return res, rs, &hbmsim.TruncatedError{Ticks: res.Makespan, Unfinished: unfinished(res)}
-	}
-	return res, rs, nil
-}
-
 func loadWorkload(tracePath, gen string, cores, size, pageBytes int, seed int64) (*hbmsim.Workload, error) {
 	switch {
 	case tracePath != "" && gen != "":
@@ -288,26 +247,7 @@ func loadWorkload(tracePath, gen string, cores, size, pageBytes int, seed int64)
 }
 
 func generate(gen string, cores, size, pageBytes int, seed int64) (*hbmsim.Workload, error) {
-	switch gen {
-	case "sort":
-		return hbmsim.SortWorkload(cores, hbmsim.SortConfig{N: size, PageBytes: pageBytes}, seed)
-	case "spgemm":
-		return hbmsim.SpGEMMWorkload(cores, hbmsim.SpGEMMConfig{N: size, PageBytes: pageBytes}, seed)
-	case "densemm":
-		return hbmsim.DenseMMWorkload(cores, hbmsim.DenseMMConfig{N: size, PageBytes: pageBytes}, seed)
-	case "stream":
-		return hbmsim.StreamWorkload(cores, hbmsim.StreamConfig{N: size, PageBytes: pageBytes}, seed)
-	case "bfs":
-		return hbmsim.BFSWorkload(cores, hbmsim.BFSConfig{Vertices: size, PageBytes: pageBytes}, seed)
-	case "adversarial":
-		return hbmsim.AdversarialWorkload(cores, hbmsim.AdversarialConfig{Pages: size})
-	case "uniform":
-		return hbmsim.SyntheticWorkload(cores, hbmsim.SyntheticConfig{Kind: "uniform", Refs: size, Pages: size / 4}, seed)
-	case "zipf":
-		return hbmsim.SyntheticWorkload(cores, hbmsim.SyntheticConfig{Kind: "zipf", Refs: size, Pages: size / 4}, seed)
-	default:
-		return nil, fmt.Errorf("hbmsim: unknown generator %q", gen)
-	}
+	return workloads.Spec{Gen: gen, Cores: cores, Size: size, PageBytes: pageBytes, Seed: seed}.Build()
 }
 
 func fail(err error) {

@@ -93,9 +93,6 @@ func TestRunObservedWithMetricsMatchesPlain(t *testing.T) {
 				progress:  &introspect.Progress{},
 				totalRefs: wl.TotalRefs(),
 			}
-			if !opts.enabled() {
-				t.Fatal("metrics registry alone should enable the observed path")
-			}
 			observed, _, rs, err := runObserved(context.Background(), cfg, wl, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -117,5 +114,24 @@ func TestRunObservedWithMetricsMatchesPlain(t *testing.T) {
 				t.Fatalf("final progress = %+v", snap)
 			}
 		})
+	}
+}
+
+// TestFlagZeroValuesTakeSpecDefaults: the flags fill the same specs a
+// job does, so -q 0 and -page 0 take the spec defaults (one far channel,
+// 64-byte pages) instead of being refused or falling through to a
+// generator's own page size.
+func TestFlagZeroValuesTakeSpecDefaults(t *testing.T) {
+	args := []string{"-gen", "stream", "-cores", "2", "-size", "1000", "-k", "64", "-json"}
+	want, err := runCLI(t, append(args, "-q", "1", "-page", "64")...)
+	if err != nil {
+		t.Fatalf("explicit defaults: %v\noutput:\n%s", err, want)
+	}
+	got, err := runCLI(t, append(args, "-q", "0", "-page", "0")...)
+	if err != nil {
+		t.Fatalf("zero values: %v\noutput:\n%s", err, got)
+	}
+	if got != want {
+		t.Fatalf("-q 0 -page 0 ran a different simulation:\n%s\nwant\n%s", got, want)
 	}
 }

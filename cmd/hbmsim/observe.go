@@ -44,12 +44,6 @@ type telemetryOptions struct {
 	totalRefs uint64
 }
 
-func (t telemetryOptions) enabled() bool {
-	return t.eventsPath != "" || t.timelinePath != "" || t.perfettoPath != "" ||
-		t.heatTop > 0 || t.watchGap > 0 || t.metrics != nil || t.optGap ||
-		t.checkpointEvery > 0 || t.resumePath != ""
-}
-
 // refreshTicks is the /progress refresh cadence in simulated ticks —
 // cheap enough for the step loop, fresh enough for a human watching curl.
 const refreshTicks = 1024
@@ -76,7 +70,7 @@ type collectors struct {
 }
 
 // runObserved drives a stepwise simulation with the requested telemetry
-// observers attached and finalises their outputs.
+// observers attached, if any, and finalises their outputs.
 func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, opts telemetryOptions) (*hbmsim.Result, *collectors, runStats, error) {
 	var rs runStats
 	sim, err := buildSim(ctx, cfg, wl, opts.resumePath)
@@ -187,7 +181,9 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 		}
 	}
 
-	sim.SetObserver(multi)
+	if multi.Len() > 0 {
+		sim.SetObserver(multi)
+	}
 	// Dead-sink detection cadence: a latched write error on a streaming
 	// sink (a full disk, a closed pipe) aborts the run within this many
 	// ticks instead of simulating to completion and discovering the

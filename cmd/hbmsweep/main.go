@@ -130,18 +130,9 @@ func main() {
 		o.SpGEMMN = *spgemmN
 	}
 	if *backend != "" || *backendP != "" {
-		name := *backend
-		if name == "" {
-			name = string(membackend.Reference)
-		}
-		kind, err := membackend.ParseKind(name)
+		bc, err := membackend.Parse(*backend, *backendP)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hbmsweep: -backend: %v\n", err)
-			os.Exit(2)
-		}
-		bc, err := membackend.ParseParams(kind, *backendP)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hbmsweep: -backend-params: %v\n", err)
 			os.Exit(2)
 		}
 		o.Backend = bc

@@ -12,19 +12,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"hbmsim"
+
+	"hbmsim/internal/workloads"
 )
 
 func main() {
 	var (
-		gen       = flag.String("gen", "sort", "workload: sort|mergesort|quicksort|heapsort|spgemm|densemm|stream|bfs|adversarial|uniform|zipf|strided")
+		gen       = flag.String("gen", "sort", "workload: "+strings.Join(workloads.Names(), "|"))
 		cores     = flag.Int("cores", 16, "number of per-core traces")
 		size      = flag.Int("size", 8000, "workload size (sort N, matrix dim, refs)")
-		density   = flag.Float64("density", 0.10, "nonzero density for spgemm")
 		pageBytes = flag.Int("page", 64, "page size in bytes")
-		pages     = flag.Int("pages", 256, "page universe for adversarial/synthetic workloads")
-		reps      = flag.Int("reps", 100, "repetitions for the adversarial workload")
 		seed      = flag.Int64("seed", 1, "random seed")
 		out       = flag.String("o", "", "output file (.txt for text, else binary); required")
 	)
@@ -33,7 +33,7 @@ func main() {
 		fail(fmt.Errorf("-o output path is required"))
 	}
 
-	wl, err := build(*gen, *cores, *size, *density, *pageBytes, *pages, *reps, *seed)
+	wl, err := workloads.Spec{Gen: *gen, Cores: *cores, Size: *size, PageBytes: *pageBytes, Seed: *seed}.Build()
 	if err != nil {
 		fail(err)
 	}
@@ -45,38 +45,6 @@ func main() {
 	}
 	fmt.Printf("wrote %s: workload %q, %d cores, %d refs, %d unique pages\n",
 		*out, wl.Name, wl.Cores(), wl.TotalRefs(), wl.UniquePages())
-}
-
-func build(gen string, cores, size int, density float64, pageBytes, pages, reps int, seed int64) (*hbmsim.Workload, error) {
-	sortCfg := func(algo hbmsim.SortAlgo) (*hbmsim.Workload, error) {
-		return hbmsim.SortWorkload(cores, hbmsim.SortConfig{N: size, Algo: algo, PageBytes: pageBytes}, seed)
-	}
-	switch gen {
-	case "sort":
-		return sortCfg(hbmsim.SortIntro)
-	case "mergesort":
-		return sortCfg(hbmsim.SortMerge)
-	case "quicksort":
-		return sortCfg(hbmsim.SortQuick)
-	case "heapsort":
-		return sortCfg(hbmsim.SortHeap)
-	case "spgemm":
-		return hbmsim.SpGEMMWorkload(cores, hbmsim.SpGEMMConfig{N: size, Density: density, PageBytes: pageBytes}, seed)
-	case "densemm":
-		return hbmsim.DenseMMWorkload(cores, hbmsim.DenseMMConfig{N: size, PageBytes: pageBytes}, seed)
-	case "stream":
-		return hbmsim.StreamWorkload(cores, hbmsim.StreamConfig{N: size, PageBytes: pageBytes}, seed)
-	case "bfs":
-		return hbmsim.BFSWorkload(cores, hbmsim.BFSConfig{Vertices: size, PageBytes: pageBytes}, seed)
-	case "adversarial":
-		return hbmsim.AdversarialWorkload(cores, hbmsim.AdversarialConfig{Pages: pages, Reps: reps})
-	case "uniform", "zipf", "strided":
-		return hbmsim.SyntheticWorkload(cores, hbmsim.SyntheticConfig{
-			Kind: hbmsim.SyntheticKind(gen), Refs: size, Pages: pages,
-		}, seed)
-	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
-	}
 }
 
 func fail(err error) {

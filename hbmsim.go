@@ -34,7 +34,6 @@
 package hbmsim
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -89,15 +88,7 @@ const (
 )
 
 // ParseMapping converts a string ("associative", "direct") to a Mapping.
-func ParseMapping(s string) (Mapping, error) {
-	m := Mapping(s)
-	for _, known := range core.Mappings() {
-		if m == known {
-			return m, nil
-		}
-	}
-	return "", fmt.Errorf("hbmsim: unknown mapping %q (known: %v)", s, core.Mappings())
-}
+func ParseMapping(s string) (Mapping, error) { return core.ParseMapping(s) }
 
 // Policy kind types (string-valued; see the constants below).
 type (
@@ -111,39 +102,15 @@ type (
 
 // ParseArbiter converts a string ("fifo", "priority", "random") to an
 // ArbiterKind, verifying it is known.
-func ParseArbiter(s string) (ArbiterKind, error) {
-	k := ArbiterKind(s)
-	for _, known := range arbiter.Kinds() {
-		if k == known {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("hbmsim: unknown arbiter %q (known: %v)", s, arbiter.Kinds())
-}
+func ParseArbiter(s string) (ArbiterKind, error) { return core.ParseArbiter(s) }
 
 // ParsePermuter converts a string ("static", "dynamic", "cycle",
 // "cycle-reverse", "interleave") to a PermuterKind.
-func ParsePermuter(s string) (PermuterKind, error) {
-	k := PermuterKind(s)
-	for _, known := range arbiter.PermuterKinds() {
-		if k == known {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("hbmsim: unknown permuter %q (known: %v)", s, arbiter.PermuterKinds())
-}
+func ParsePermuter(s string) (PermuterKind, error) { return core.ParsePermuter(s) }
 
-// ParseReplacement converts a string ("lru", "fifo", "clock", "random") to
-// a ReplacementKind.
-func ParseReplacement(s string) (ReplacementKind, error) {
-	k := ReplacementKind(s)
-	for _, known := range replacement.Kinds() {
-		if k == known {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("hbmsim: unknown replacement %q (known: %v)", s, replacement.Kinds())
-}
+// ParseReplacement converts a string ("lru", "fifo", "clock", "random",
+// "belady") to a ReplacementKind.
+func ParseReplacement(s string) (ReplacementKind, error) { return core.ParseReplacement(s) }
 
 // Far-memory backend selection (Config.Backend; see internal/membackend).
 type (
@@ -172,15 +139,11 @@ func MemBackends() []MemBackendKind { return membackend.Kinds() }
 
 // ParseMemBackend converts a backend name plus a comma-separated
 // "key=value" parameter list (the CLI's -backend / -backend-params
-// syntax; params may be empty) to a MemBackendConfig. Keys are the
-// MemBackendConfig field's JSON names, e.g.
-// "bytes_per_tick=8,latency_ticks=9".
+// syntax; params may be empty) to a MemBackendConfig. An empty name
+// selects BackendReference. Keys are the MemBackendConfig field's JSON
+// names, e.g. "bytes_per_tick=8,latency_ticks=9".
 func ParseMemBackend(name, params string) (MemBackendConfig, error) {
-	kind, err := membackend.ParseKind(name)
-	if err != nil {
-		return MemBackendConfig{}, err
-	}
-	return membackend.ParseParams(kind, params)
+	return membackend.Parse(name, params)
 }
 
 // Far-channel arbitration policies.

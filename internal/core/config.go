@@ -125,10 +125,10 @@ func (c Config) Validate(p int) error {
 	if c.Channels > c.HBMSlots {
 		return fmt.Errorf("core: Channels (%d) must not exceed HBMSlots (%d): the far channels could not land their pages", c.Channels, c.HBMSlots)
 	}
-	switch c.Mapping {
-	case "", MappingAssociative, MappingDirect:
-	default:
-		return fmt.Errorf("core: unknown HBM mapping %q", c.Mapping)
+	if c.Mapping != "" {
+		if _, err := ParseMapping(string(c.Mapping)); err != nil {
+			return err
+		}
 	}
 	if c.FetchLatency < 0 {
 		return fmt.Errorf("core: FetchLatency must be >= 1 (or 0 for the default), got %d", c.FetchLatency)

@@ -36,6 +36,7 @@ package membackend
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -274,11 +275,18 @@ func New(c Config, channels, fetchLatency int) (Backend, error) {
 	return nil, fmt.Errorf("membackend: unknown backend %q", c.Kind)
 }
 
-// ParseParams parses a comma-separated "key=value" parameter list (the
-// CLI's -backend-params syntax) onto a Config with the given kind. Keys
-// are the Config field's JSON names; unknown keys list the valid ones.
-func ParseParams(kind Kind, params string) (Config, error) {
-	c := Config{Kind: kind}
+// Parse converts a backend name plus a comma-separated "key=value"
+// parameter list (the CLI's -backend / -backend-params syntax; params
+// may be empty) to a Config. An empty name selects Reference. Keys are
+// the Config field's JSON names; unknown keys list the valid ones.
+func Parse(name, params string) (Config, error) {
+	if name == "" {
+		name = string(Reference)
+	}
+	c := Config{Kind: Kind(name)}
+	if !slices.Contains(Kinds(), c.Kind) {
+		return Config{}, fmt.Errorf("membackend: unknown backend %q (known: %v)", name, Kinds())
+	}
 	if strings.TrimSpace(params) == "" {
 		return c, c.Validate()
 	}
@@ -315,15 +323,4 @@ func ParseParams(kind Kind, params string) (Config, error) {
 		*dst = n
 	}
 	return c, c.Validate()
-}
-
-// ParseKind validates a backend name.
-func ParseKind(s string) (Kind, error) {
-	k := Kind(s)
-	for _, known := range Kinds() {
-		if k == known {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("membackend: unknown backend %q (known: %v)", s, Kinds())
 }

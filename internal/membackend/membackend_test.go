@@ -230,28 +230,29 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-// TestParseParams covers the CLI's key=value parameter syntax.
+// TestParseParams covers the CLI's backend name and key=value parameter
+// syntax.
 func TestParseParams(t *testing.T) {
-	c, err := ParseParams(Bandwidth, "bytes_per_tick=32, latency_ticks=2")
+	c, err := Parse("bandwidth", "bytes_per_tick=32, latency_ticks=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.BytesPerTick != 32 || c.LatencyTicks != 2 {
+	if c.Kind != Bandwidth || c.BytesPerTick != 32 || c.LatencyTicks != 2 {
 		t.Fatalf("parsed %+v", c)
 	}
-	if _, err := ParseParams(Bandwidth, ""); err != nil {
+	if _, err := Parse("bandwidth", ""); err != nil {
 		t.Fatalf("empty params must default: %v", err)
 	}
 	for _, bad := range []string{"nope=1", "bytes_per_tick", "bytes_per_tick=x", "fast_slots=-1"} {
-		if _, err := ParseParams(Hybrid, bad); err == nil {
-			t.Fatalf("ParseParams(%q) must fail", bad)
+		if _, err := Parse("hybrid", bad); err == nil {
+			t.Fatalf("Parse(hybrid, %q) must fail", bad)
 		}
 	}
-	if _, err := ParseKind("reference"); err != nil {
-		t.Fatal(err)
+	if c, err := Parse("", ""); err != nil || c.Kind != Reference {
+		t.Fatalf("empty name = %+v, %v; want the reference backend", c, err)
 	}
-	if _, err := ParseKind("sram"); err == nil {
-		t.Fatal("unknown kind must fail")
+	if _, err := Parse("sram", ""); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+		t.Fatalf("unknown kind: %v", err)
 	}
 }
 

@@ -37,12 +37,8 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"hbmsim/internal/arbiter"
 	"hbmsim/internal/core"
 	"hbmsim/internal/experiments"
-	"hbmsim/internal/membackend"
-	"hbmsim/internal/model"
-	"hbmsim/internal/replacement"
 	"hbmsim/internal/trace"
 	"hbmsim/internal/workloads"
 )
@@ -83,145 +79,12 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// ConfigSpec is the JSON form of core.Config. Policy kinds are strings
-// ("fifo", "priority", ...) validated against the simulator's known
-// kinds; zero-valued fields take the simulator's documented defaults.
-type ConfigSpec struct {
-	HBMSlots     int    `json:"hbm_slots"`
-	Channels     int    `json:"channels,omitempty"`
-	Arbiter      string `json:"arbiter,omitempty"`
-	Replacement  string `json:"replacement,omitempty"`
-	Mapping      string `json:"mapping,omitempty"`
-	Permuter     string `json:"permuter,omitempty"`
-	RemapPeriod  uint64 `json:"remap_period,omitempty"`
-	FetchLatency int    `json:"fetch_latency,omitempty"`
-	// Backend names the far-memory model (reference, bandwidth, hybrid);
-	// empty selects the paper's reference model. BackendParams carries the
-	// backend's parameters in the CLI's comma-separated key=value syntax
-	// (e.g. "bytes_per_tick=8,latency_ticks=9"); keys are
-	// membackend.Config's JSON names.
-	Backend       string `json:"backend,omitempty"`
-	BackendParams string `json:"backend_params,omitempty"`
-	Seed          int64  `json:"seed,omitempty"`
-	MaxTicks      uint64 `json:"max_ticks,omitempty"`
-}
-
-// Config converts the spec to a core.Config, validating every named
-// policy kind against the simulator's registries. Channels defaults to 1
-// (the paper's single far channel), matching `hbmsim -q`; the remaining
-// zero fields take core.Config's own defaults.
-func (c ConfigSpec) Config() (core.Config, error) {
-	channels := c.Channels
-	if channels == 0 {
-		channels = 1
-	}
-	cfg := core.Config{
-		HBMSlots:     c.HBMSlots,
-		Channels:     channels,
-		Arbiter:      arbiter.Kind(c.Arbiter),
-		Replacement:  replacement.Kind(c.Replacement),
-		Mapping:      core.Mapping(c.Mapping),
-		Permuter:     arbiter.PermuterKind(c.Permuter),
-		RemapPeriod:  model.Tick(c.RemapPeriod),
-		FetchLatency: c.FetchLatency,
-		Seed:         c.Seed,
-		MaxTicks:     model.Tick(c.MaxTicks),
-	}
-	if c.Arbiter != "" && !containsKind(arbiter.Kinds(), cfg.Arbiter) {
-		return cfg, fmt.Errorf("serve: unknown arbiter %q (known: %v)", c.Arbiter, arbiter.Kinds())
-	}
-	if c.Replacement != "" && !containsKind(replacement.Kinds(), cfg.Replacement) {
-		return cfg, fmt.Errorf("serve: unknown replacement %q (known: %v)", c.Replacement, replacement.Kinds())
-	}
-	if c.Mapping != "" && !containsKind(core.Mappings(), cfg.Mapping) {
-		return cfg, fmt.Errorf("serve: unknown mapping %q (known: %v)", c.Mapping, core.Mappings())
-	}
-	if c.Permuter != "" && !containsKind(arbiter.PermuterKinds(), cfg.Permuter) {
-		return cfg, fmt.Errorf("serve: unknown permuter %q (known: %v)", c.Permuter, arbiter.PermuterKinds())
-	}
-	if c.Backend != "" || c.BackendParams != "" {
-		name := c.Backend
-		if name == "" {
-			name = string(membackend.Reference)
-		}
-		kind, err := membackend.ParseKind(name)
-		if err != nil {
-			return cfg, err
-		}
-		bc, err := membackend.ParseParams(kind, c.BackendParams)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Backend = bc
-	}
-	return cfg, nil
-}
-
-func containsKind[T comparable](known []T, k T) bool {
-	for _, v := range known {
-		if v == k {
-			return true
-		}
-	}
-	return false
-}
+// ConfigSpec is the JSON form of core.Config; see core.ConfigSpec.
+type ConfigSpec = core.ConfigSpec
 
 // WorkloadSpec names a built-in workload generator plus its parameters —
-// the same vocabulary as `hbmsim -gen`. Generators are deterministic in
-// (spec, seed), which is what makes jobs replayable after a crash: the
-// restarted service rebuilds the workload from the spec and verifies it
-// against the fingerprint journaled at admission.
-type WorkloadSpec struct {
-	// Gen is the generator name: sort, spgemm, densemm, stream, bfs,
-	// adversarial, uniform, or zipf.
-	Gen string `json:"gen"`
-	// Cores is the number of per-core traces to generate.
-	Cores int `json:"cores"`
-	// Size is the generator's size knob (sort N, matrix dimension,
-	// reference count); 0 selects 8000, matching `hbmsim -gen`.
-	Size int `json:"size,omitempty"`
-	// PageBytes maps instrumented accesses to pages; 0 selects 64.
-	PageBytes int `json:"page_bytes,omitempty"`
-	// Seed drives the generator's randomness.
-	Seed int64 `json:"seed,omitempty"`
-}
-
-// Build generates the workload.
-func (w WorkloadSpec) Build() (*trace.Workload, error) {
-	if w.Cores < 1 {
-		return nil, fmt.Errorf("serve: workload needs cores >= 1, got %d", w.Cores)
-	}
-	size := w.Size
-	if size == 0 {
-		size = 8000
-	}
-	pageBytes := w.PageBytes
-	if pageBytes == 0 {
-		pageBytes = 64
-	}
-	switch w.Gen {
-	case "sort":
-		return workloads.SortWorkload(w.Cores, workloads.SortConfig{N: size, PageBytes: pageBytes}, w.Seed)
-	case "spgemm":
-		return workloads.SpGEMMWorkload(w.Cores, workloads.SpGEMMConfig{N: size, PageBytes: pageBytes}, w.Seed)
-	case "densemm":
-		return workloads.DenseMMWorkload(w.Cores, workloads.DenseMMConfig{N: size, PageBytes: pageBytes}, w.Seed)
-	case "stream":
-		return workloads.StreamWorkload(w.Cores, workloads.StreamConfig{N: size, PageBytes: pageBytes}, w.Seed)
-	case "bfs":
-		return workloads.BFSWorkload(w.Cores, workloads.BFSConfig{Vertices: size, PageBytes: pageBytes}, w.Seed)
-	case "adversarial":
-		return workloads.AdversarialWorkload(w.Cores, workloads.AdversarialConfig{Pages: size})
-	case "uniform":
-		return workloads.SyntheticWorkload(w.Cores, workloads.SyntheticConfig{Kind: workloads.Uniform, Refs: size, Pages: size / 4}, w.Seed)
-	case "zipf":
-		return workloads.SyntheticWorkload(w.Cores, workloads.SyntheticConfig{Kind: workloads.Zipfian, Refs: size, Pages: size / 4}, w.Seed)
-	case "":
-		return nil, fmt.Errorf("serve: workload spec needs a generator name")
-	default:
-		return nil, fmt.Errorf("serve: unknown workload generator %q", w.Gen)
-	}
-}
+// the same vocabulary as `hbmsim -gen`; see workloads.Spec.
+type WorkloadSpec = workloads.Spec
 
 // Point is one configuration of a sweep job.
 type Point struct {
@@ -286,6 +149,9 @@ func (s *Spec) Validate() error {
 		if len(s.Points) > 0 || s.Experiment != "" {
 			return fmt.Errorf("serve: sim job cannot carry points or an experiment")
 		}
+		if err := s.Workload.Validate(); err != nil {
+			return err
+		}
 		if _, err := s.Config.Config(); err != nil {
 			return err
 		}
@@ -298,6 +164,9 @@ func (s *Spec) Validate() error {
 		}
 		if s.Config != nil || s.Experiment != "" {
 			return fmt.Errorf("serve: sweep job cannot carry a top-level config or an experiment")
+		}
+		if err := s.Workload.Validate(); err != nil {
+			return err
 		}
 		for i := range s.Points {
 			if _, err := s.Points[i].Config.Config(); err != nil {

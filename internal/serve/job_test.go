@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hbmsim/internal/membackend"
+	"hbmsim/internal/replacement"
 )
 
 func TestWorkloadSpecBuild(t *testing.T) {
@@ -68,6 +69,9 @@ func TestConfigSpecValidation(t *testing.T) {
 	}
 	if cfg.Channels != 1 {
 		t.Errorf("channels default %d, want 1 (matching hbmsim -q)", cfg.Channels)
+	}
+	if cfg, err := (ConfigSpec{HBMSlots: 8, Replacement: "belady"}).Config(); err != nil || cfg.Replacement != replacement.Belady {
+		t.Errorf("belady replacement: %q, %v", cfg.Replacement, err)
 	}
 }
 

@@ -22,41 +22,50 @@ func testSimSpec() Spec {
 	}
 }
 
-// TestSimJobWithBackend runs a sim job whose spec selects a non-default
-// far-memory backend end to end and checks the payload matches a direct
-// core.Run under the same backend.
+// TestSimJobWithBackend runs sim jobs whose specs select a non-default
+// far-memory backend or Belady replacement end to end, and checks each
+// payload matches a direct core.Run under the same config.
 func TestSimJobWithBackend(t *testing.T) {
 	s := openTestService(t, t.TempDir(), nil)
 	defer s.Close()
-	spec := testSimSpec()
-	spec.Config.Backend = "hybrid"
-	spec.Config.BackendParams = "fast_slots=8"
-	v, err := s.Submit(spec)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	done := waitState(t, s, v.ID, StateDone)
-	if done.Result == nil || done.Result.Sim == nil {
-		t.Fatal("no sim payload")
-	}
+	for _, tc := range []struct {
+		name string
+		edit func(*ConfigSpec)
+	}{
+		{"hybrid", func(c *ConfigSpec) { c.Backend, c.BackendParams = "hybrid", "fast_slots=8" }},
+		{"belady", func(c *ConfigSpec) { c.Replacement = "belady" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSimSpec()
+			tc.edit(spec.Config)
+			v, err := s.Submit(spec)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			done := waitState(t, s, v.ID, StateDone)
+			if done.Result == nil || done.Result.Sim == nil {
+				t.Fatal("no sim payload")
+			}
 
-	wl, err := spec.Workload.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := spec.Config.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Run(cfg, wl.Raw())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(done.Result.Sim, want) {
-		t.Errorf("backend job result diverged from direct run:\n%+v\nvs\n%+v", done.Result.Sim, want)
-	}
-	if done.Result.Sim.Makespan <= 0 {
-		t.Error("empty result")
+			wl, err := spec.Workload.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := spec.Config.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Run(cfg, wl.Raw())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(done.Result.Sim, want) {
+				t.Errorf("job result diverged from direct run:\n%+v\nvs\n%+v", done.Result.Sim, want)
+			}
+			if done.Result.Sim.Makespan <= 0 {
+				t.Error("empty result")
+			}
+		})
 	}
 }
 
@@ -206,6 +215,12 @@ func TestSubmitValidation(t *testing.T) {
 			Config: &ConfigSpec{HBMSlots: 8, Arbiter: "bogus"}}, // unknown arbiter
 		{Kind: KindSim, Workload: &WorkloadSpec{Gen: "uniform", Cores: 1},
 			Config: &ConfigSpec{HBMSlots: 8}, TimeoutSeconds: -1},
+		{Kind: KindSim, Workload: &WorkloadSpec{Gen: "nope", Cores: 1},
+			Config: &ConfigSpec{HBMSlots: 8}}, // unknown generator
+		{Kind: KindSim, Workload: &WorkloadSpec{Gen: "uniform", Cores: 0},
+			Config: &ConfigSpec{HBMSlots: 8}}, // no cores
+		{Kind: KindSim, Workload: &WorkloadSpec{Gen: "uniform", Cores: -3},
+			Config: &ConfigSpec{HBMSlots: 8}}, // negative cores
 	}
 	for i, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {
