@@ -37,10 +37,11 @@ SMOKE_FUZZTIME ?= 5s
 # correctness argument leans on hardest, plus the tracing/introspection
 # layer operators debug production incidents with, plus the result cache
 # and the sweep-sharding coordinator the fleet's correctness rests on, plus
-# the far-memory backends every simulated transfer now flows through.
+# the far-memory backends every simulated transfer now flows through, plus
+# the durable-file package every crash-safe write goes through.
 COVER_OUT ?= coverage.out
 COVER_FLOOR ?= 70
-COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend
+COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend hbmsim/internal/durable
 
 .PHONY: all check build vet test test-short test-race e2e-multinode bench bench-json bench-diff cover profile fuzz fuzz-smoke docsmoke repro repro-full figures clean
 
@@ -128,8 +129,8 @@ profile:
 		-o profiles/core.test ./internal/core
 	@echo "wrote profiles/cpu.out profiles/mem.out (binary: profiles/core.test)"
 
-# Short fuzzing pass over the trace codecs, page renumbering and the
-# checkpoint format.
+# Short fuzzing pass over the trace codecs, page renumbering, the
+# checkpoint format, log recovery and result-cache entries.
 fuzz:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=30s ./internal/trace/
@@ -137,6 +138,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzResumeCorrupt -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzLogRecover -fuzztime=30s ./internal/durable/
+	$(GO) test -fuzz=FuzzReadEntry -fuzztime=30s ./internal/resultcache/
 
 # Quick fuzzing smoke for `make check`: a few seconds per fuzzer, enough
 # to catch gross codec or snapshot-validation breakage.
@@ -147,6 +150,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzResumeCorrupt -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzLogRecover -fuzztime=$(SMOKE_FUZZTIME) ./internal/durable/
+	$(GO) test -fuzz=FuzzReadEntry -fuzztime=$(SMOKE_FUZZTIME) ./internal/resultcache/
 
 # Doc-drift gate: every fenced sh/go block in the listed docs must match
 # the tree — Go examples compile, documented flags exist, make targets

@@ -27,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -35,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"hbmsim/internal/durable"
 	"hbmsim/internal/introspect"
 	"hbmsim/internal/metrics"
 	"hbmsim/internal/resultcache"
@@ -210,11 +212,10 @@ func run() int {
 // writeAddrFile atomically publishes the bound address so scripts can
 // wait for the file instead of polling the port.
 func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
+	return durable.WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, addr+"\n")
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // progressMirror folds per-job updates into the aggregate /progress

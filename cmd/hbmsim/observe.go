@@ -9,6 +9,7 @@ import (
 
 	"hbmsim"
 
+	"hbmsim/internal/durable"
 	"hbmsim/internal/introspect"
 	"hbmsim/internal/report"
 )
@@ -315,31 +316,11 @@ func buildSim(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, resum
 	return sim, nil
 }
 
-// writeCheckpoint snapshots the simulator atomically: the state is
-// written to a temp file, synced, and renamed over the target, so a
-// crash mid-write can never leave a torn snapshot at the checkpoint
-// path.
+// writeCheckpoint snapshots the simulator atomically with
+// durable.WriteFile, so a crash mid-write can never leave a torn
+// snapshot at the checkpoint path.
 func writeCheckpoint(ctx context.Context, sim *hbmsim.Sim, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := sim.CheckpointContext(ctx, f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.WriteFile(path, func(w io.Writer) error { return sim.CheckpointContext(ctx, w) })
 }
 
 // unfinished counts cores that never completed (completion tick 0 with

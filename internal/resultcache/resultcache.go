@@ -11,8 +11,8 @@
 // instead of re-simulating them.
 //
 // The store is a flat directory of one file per fingerprint, written
-// with the repo's durability idiom (temp file + fsync + rename +
-// directory fsync), each self-verifying: a JSON header line carrying
+// with durable.WriteFile (temp file + fsync + rename + directory
+// fsync), each self-verifying: a JSON header line carrying
 // the key, the payload length, and an FNV-1a checksum precedes the
 // payload bytes. Get re-verifies all three and treats any mismatch as a
 // miss, deleting the bad entry — a torn or bit-rotted file can serve a
@@ -30,6 +30,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"hbmsim/internal/durable"
 )
 
 // Store is a content-addressed payload cache rooted at one directory.
@@ -58,7 +60,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := syncDir(filepath.Dir(dir)); err != nil {
+	if err := durable.SyncDir(filepath.Dir(dir)); err != nil {
 		return nil, fmt.Errorf("resultcache: syncing parent directory: %w", err)
 	}
 	return &Store{dir: dir}, nil
@@ -126,11 +128,13 @@ func readEntry(f io.Reader, fp uint64) ([]byte, error) {
 	if h.Len < 0 {
 		return nil, &corruptError{"negative length"}
 	}
-	payload := make([]byte, h.Len)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	// Read what the file holds rather than allocating the header's
+	// length up front: a corrupt length must not crash the process.
+	payload, err := io.ReadAll(br)
+	if err != nil || len(payload) < h.Len {
 		return nil, &corruptError{"short payload"}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if len(payload) > h.Len {
 		return nil, &corruptError{"trailing bytes past the declared length"}
 	}
 	if payloadSum(payload) != h.Sum {
@@ -139,10 +143,9 @@ func readEntry(f io.Reader, fp uint64) ([]byte, error) {
 	return payload, nil
 }
 
-// Put stores payload under fp, atomically and durably: temp file in the
-// same directory, fsync, rename, directory fsync. An existing entry is
-// replaced (identical inputs produce identical payloads, so this is a
-// no-op in content).
+// Put stores payload under fp, atomically and durably, with
+// durable.WriteFile. An existing entry is replaced (identical inputs
+// produce identical payloads, so this is a no-op in content).
 func (s *Store) Put(fp uint64, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,32 +157,17 @@ func (s *Store) Put(fp uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	path := s.path(fp)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(h, '\n')); err == nil {
-		_, err = f.Write(payload)
-		if err == nil {
-			err = f.Sync()
+	err = durable.WriteFile(s.path(fp), func(w io.Writer) error {
+		if _, err := w.Write(append(h, '\n')); err != nil {
+			return err
 		}
-	} else {
-		err = fmt.Errorf("resultcache: writing entry: %w", err)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+		_, err := w.Write(payload)
+		return err
+	})
 	if err != nil {
-		os.Remove(tmp)
-		return err
+		return fmt.Errorf("resultcache: writing entry: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(s.dir)
+	return nil
 }
 
 // Len counts intact-looking entries (by filename; contents are only
@@ -196,15 +184,4 @@ func (s *Store) Len() (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed entry in
-// it survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

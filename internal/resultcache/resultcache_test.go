@@ -2,6 +2,7 @@ package resultcache
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -91,8 +92,8 @@ func TestStoreEmptyPayload(t *testing.T) {
 
 // TestStoreSelfHeals: every corruption class — torn header, garbage
 // header, short payload, trailing bytes, flipped payload bit, key
-// mismatch — is a miss that deletes the entry, never an error and never
-// a wrong answer.
+// mismatch, a length no allocation can hold — is a miss that deletes
+// the entry, never an error, a crash, or a wrong answer.
 func TestStoreSelfHeals(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -122,6 +123,11 @@ func TestStoreSelfHeals(t *testing.T) {
 			// names the original key.
 			b := bytes.ReplaceAll(readFile(t, path),
 				[]byte(`"key":"0000000000000011"`), []byte(`"key":"00000000000000ff"`))
+			writeFile(t, path, b)
+		}},
+		{"huge length", func(path string, t *testing.T) {
+			b := bytes.ReplaceAll(readFile(t, path),
+				[]byte(`"len":17`), []byte(fmt.Sprintf(`"len":%d`, 1<<62)))
 			writeFile(t, path, b)
 		}},
 	}

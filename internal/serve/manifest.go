@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strconv"
-	"sync"
+
+	"hbmsim/internal/durable"
 )
 
 // manifest is the service's append-only job journal: one JSON line per
@@ -22,29 +19,12 @@ import (
 //   - a terminal record ("done"/"failed"/"cancelled") freezes the job,
 //     result payload included; restart never re-runs it.
 //
-// Like sweep.Journal, the file is recovered leniently: a torn final line
-// (the process died mid-append) is truncated away — and the truncation
-// fsynced, so a crash right after recovery cannot resurrect it — and
-// every intact line before it is kept. A failed append is rewound the
-// same way so partial bytes never poison the next record. Unlike
-// sweep.Journal there is no keying — records are an ordered event log
-// replayed front to back.
+// Like sweep.Journal, the file is a durable.Log: a torn final line or a
+// corrupt record ends it on recovery, and a failed append is rewound.
+// Unlike sweep.Journal there is no keying — records are an ordered
+// event log replayed front to back.
 type manifest struct {
-	mu  sync.Mutex
-	f   manifestFile
-	off int64 // durable end offset: intact, fsynced records end here
-}
-
-// manifestFile is the file surface the manifest needs. *os.File
-// satisfies it; fault-injection tests substitute wrappers whose writes
-// fail partway through.
-type manifestFile interface {
-	io.Reader
-	io.Writer
-	io.Seeker
-	io.Closer
-	Sync() error
-	Truncate(int64) error
+	log *durable.Log
 }
 
 // fpHex is a job fingerprint on the manifest wire: a 16-digit hex JSON
@@ -101,119 +81,56 @@ type manifestRecord struct {
 	Unix int64 `json:"unix,omitempty"`
 }
 
-// openManifest opens (creating if needed) the manifest at path, replays
-// every intact record into the returned slice, truncates a torn tail
-// (fsyncing the truncation) so subsequent appends start clean, and
-// fsyncs the parent directory so a freshly created manifest survives a
-// crash immediately after open.
+// openManifest opens (creating if needed) the manifest at path and
+// replays every intact record into the returned slice; recovery and the
+// directory fsync are durable.OpenLog's.
 func openManifest(path string) (*manifest, []manifestRecord, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	var recs []manifestRecord
+	l, err := durable.OpenLog(path, decodeRecord(&recs))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("serve: opening manifest: %w", err)
 	}
-	m, recs, err := openManifestFile(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("serve: syncing manifest directory: %w", err)
-	}
-	return m, recs, nil
+	return &manifest{log: l}, recs, nil
 }
 
-// openManifestFile is openManifest past the os.OpenFile: recovery over
-// an already-open file, split out for fault-injection tests.
-func openManifestFile(f manifestFile) (*manifest, []manifestRecord, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, err
+// openManifestFile is openManifest over an already-open file, split out
+// for fault-injection tests.
+func openManifestFile(f durable.File) (*manifest, []manifestRecord, error) {
+	var recs []manifestRecord
+	l, err := durable.NewLog(f, decodeRecord(&recs))
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: opening manifest: %w", err)
 	}
-	var (
-		recs []manifestRecord
-		good int64
-	)
-	br := bufio.NewReader(f)
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			if err == io.EOF {
-				break // a partial line is a torn append; drop it
-			}
-			return nil, nil, fmt.Errorf("serve: reading manifest: %w", err)
-		}
+	return &manifest{log: l}, recs, nil
+}
+
+// decodeRecord is the manifest's durable.Log accept function: it
+// appends each intact record to recs and rejects the first corrupt one,
+// which poisons trust in everything after it.
+func decodeRecord(recs *[]manifestRecord) func(line []byte) bool {
+	return func(line []byte) bool {
 		var rec manifestRecord
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.Op == "" || rec.ID == 0 {
-			break // a corrupt record poisons trust in everything after it
+		if json.Unmarshal(line, &rec) != nil || rec.Op == "" || rec.ID == 0 {
+			return false
 		}
-		recs = append(recs, rec)
-		good += int64(len(line))
+		*recs = append(*recs, rec)
+		return true
 	}
-	if err := f.Truncate(good); err != nil {
-		return nil, nil, fmt.Errorf("serve: truncating manifest tail: %w", err)
-	}
-	// Sync the truncation, or a crash after recovery resurrects the torn
-	// line the next reopen already discarded once.
-	if err := f.Sync(); err != nil {
-		return nil, nil, fmt.Errorf("serve: syncing truncated manifest: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		return nil, nil, err
-	}
-	return &manifest{f: f, off: good}, recs, nil
-}
-
-// syncDir fsyncs a directory so a just-created entry in it survives a
-// crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // append writes one record and syncs it to stable storage. The record is
 // durable when append returns — the caller may then acknowledge the
-// event to the submitter. A failed write or sync is rewound: the file is
-// truncated back to the pre-append offset so partial bytes cannot poison
-// the next record.
+// event to the submitter. A failed append leaves no partial bytes.
 func (m *manifest) append(rec manifestRecord) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("serve: encoding manifest record: %w", err)
 	}
-	line = append(line, '\n')
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := m.f.Write(line); err != nil {
-		return m.rewindLocked(fmt.Errorf("serve: appending manifest record: %w", err))
+	if err := m.log.Append(line); err != nil {
+		return fmt.Errorf("serve: appending manifest record: %w", err)
 	}
-	if err := m.f.Sync(); err != nil {
-		return m.rewindLocked(fmt.Errorf("serve: syncing manifest: %w", err))
-	}
-	m.off += int64(len(line))
 	return nil
 }
 
-// rewindLocked truncates a failed append back to the last durable
-// offset and returns cause (annotated if the rewind itself failed).
-// Callers hold m.mu.
-func (m *manifest) rewindLocked(cause error) error {
-	if err := m.f.Truncate(m.off); err != nil {
-		return fmt.Errorf("%w (and rewinding the torn tail failed: %v)", cause, err)
-	}
-	if _, err := m.f.Seek(m.off, io.SeekStart); err != nil {
-		return fmt.Errorf("%w (and rewinding the torn tail failed: %v)", cause, err)
-	}
-	m.f.Sync() // best-effort; the next append reports a persistent sync failure
-	return cause
-}
-
 // Close closes the underlying file. Appending after Close fails.
-func (m *manifest) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.f.Close()
-}
+func (m *manifest) Close() error { return m.log.Close() }

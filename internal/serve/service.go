@@ -218,7 +218,7 @@ func newInstruments(reg *metrics.Registry) instruments {
 			"seconds jobs spend admitted but not yet running",
 			metrics.ExpBuckets(0.0001, 2, 24)),
 		checkpointWrite: reg.Histogram("serve_checkpoint_write_seconds",
-			"wall seconds per atomic sim checkpoint write (serialize + fsync + rename)",
+			"wall seconds per atomic sim checkpoint write (serialize + fsync + rename + directory fsync)",
 			metrics.ExpBuckets(0.0001, 2, 20)),
 	}
 }

@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"hbmsim/internal/core"
+	"hbmsim/internal/durable"
 	"hbmsim/internal/model"
 	"hbmsim/internal/sweep"
 	"hbmsim/internal/telemetry"
@@ -16,7 +18,7 @@ import (
 
 // runSim executes a single-simulation job with a periodic atomic
 // checkpoint: every CheckpointEvery ticks the full simulator state is
-// snapshotted to job-<id>.snap (tmp + fsync + rename, so a crash cannot
+// snapshotted to job-<id>.snap (durable.WriteFile, so a crash cannot
 // tear it), and a restarted service resumes from the snapshot instead of
 // re-simulating from tick zero. Determinism comes from core.Resume: the
 // resumed simulator replays the identical event stream, so the final
@@ -116,42 +118,19 @@ func (s *Service) buildSim(ctx context.Context, cfg core.Config, wl *trace.Workl
 	return sim, nil
 }
 
-// writeSnapshot checkpoints the simulator atomically: temp file, fsync,
-// rename. A crash mid-write leaves the previous snapshot intact. Each
-// write is timed as a "serve.checkpoint_write" span (with the
-// serialisation itself nested as core.checkpoint.save) and observed in
-// the serve_checkpoint_write_seconds histogram.
+// writeSnapshot checkpoints the simulator atomically with
+// durable.WriteFile. A crash mid-write leaves the previous snapshot
+// intact. Each write is timed as a "serve.checkpoint_write" span (with
+// the serialisation itself nested as core.checkpoint.save) and observed
+// in the serve_checkpoint_write_seconds histogram.
 func (s *Service) writeSnapshot(ctx context.Context, sim *core.Sim, path string) error {
 	cctx, sp := tracing.StartSpan(ctx, "serve.checkpoint_write")
 	t0 := time.Now()
-	err := writeSnapshotFile(cctx, sim, path)
+	err := durable.WriteFile(path, func(w io.Writer) error { return sim.CheckpointContext(cctx, w) })
 	s.ins.checkpointWrite.Observe(time.Since(t0).Seconds())
 	sp.SetAttrUint("tick", uint64(sim.Tick()))
 	sp.EndErr(err)
 	return err
-}
-
-func writeSnapshotFile(ctx context.Context, sim *core.Sim, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := sim.CheckpointContext(ctx, f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // simProgress pushes a sim job's progress updates into the job (and

@@ -1,15 +1,13 @@
 package sweep
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"hbmsim/internal/core"
+	"hbmsim/internal/durable"
 	"hbmsim/internal/trace"
 )
 
@@ -25,33 +23,15 @@ import (
 // config re-runs it. Workload hashes are cached per *trace.Workload, so
 // a thousand jobs sharing one workload hash it once.
 //
-// The file is recovered leniently on open: a torn final line (the
-// process died mid-append) or trailing garbage is discarded — the file
-// is truncated back to the last intact row, and the truncation is
-// fsynced so a crash shortly after recovery cannot resurrect the torn
-// bytes — and every intact row before it is kept. A failed append is
-// likewise rewound: the partial bytes are truncated away before Record
-// returns, so the next successful append can never concatenate onto a
-// torn line.
+// The file is a durable.Log: on open, a torn final line (the process
+// died mid-append) or trailing garbage is truncated away and every
+// intact row before it is kept, and a failed append is rewound before
+// Record returns.
 type Journal struct {
 	mu     sync.Mutex
-	f      journalFile
-	off    int64 // durable end offset: everything below is intact, fsynced rows
+	log    *durable.Log
 	seen   map[string]*core.Result
-	wlHash map[*trace.Workload]uint64
-}
-
-// journalFile is the file surface the journal needs. *os.File satisfies
-// it; the fault-injection tests substitute wrappers whose writes fail
-// partway through — the one failure shape /dev/full cannot produce
-// (writes to it never partially succeed, and reads never terminate).
-type journalFile interface {
-	io.Reader
-	io.Writer
-	io.Seeker
-	io.Closer
-	Sync() error
-	Truncate(int64) error
+	wlHash wlHashes
 }
 
 // journalEntry is the on-disk form of one completed row.
@@ -61,101 +41,59 @@ type journalEntry struct {
 }
 
 // OpenJournal opens (creating if needed) the journal at path and loads
-// every intact row. The file is truncated past the last intact row and
-// the truncation is synced, so subsequent Records append to a clean,
-// durable tail; the parent directory is fsynced too, so a freshly
-// created journal survives a crash immediately after open.
+// every intact row; recovery and the directory fsync are
+// durable.OpenLog's.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	j := newJournal()
+	l, err := durable.OpenLog(path, j.load)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweep: opening journal: %w", err)
 	}
-	j, err := openJournalFile(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sweep: syncing journal directory: %w", err)
-	}
+	j.log = l
 	return j, nil
 }
 
-// openJournalFile is OpenJournal past the os.OpenFile: recovery over an
-// already-open file. Split out so fault-injection tests can hand in a
-// failing journalFile.
-func openJournalFile(f journalFile) (*Journal, error) {
-	j := &Journal{
-		f:      f,
+// openJournalFile is OpenJournal over an already-open file, split out
+// so fault-injection tests can hand in a failing durable.File.
+func openJournalFile(f durable.File) (*Journal, error) {
+	j := newJournal()
+	l, err := durable.NewLog(f, j.load)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: opening journal: %w", err)
+	}
+	j.log = l
+	return j, nil
+}
+
+func newJournal() *Journal {
+	return &Journal{
 		seen:   make(map[string]*core.Result),
-		wlHash: make(map[*trace.Workload]uint64),
+		wlHash: make(wlHashes),
 	}
-	good, err := j.load()
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(good); err != nil {
-		return nil, fmt.Errorf("sweep: truncating journal tail: %w", err)
-	}
-	// Sync the truncation: without it, a crash after recovery can
-	// resurrect the torn line the next reopen already discarded once.
-	if err := f.Sync(); err != nil {
-		return nil, fmt.Errorf("sweep: syncing truncated journal: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		return nil, err
-	}
-	j.off = good
-	return j, nil
 }
 
-// syncDir fsyncs a directory so a just-created (or just-renamed) entry
-// in it survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
+// load is the journal's durable.Log accept function: it indexes one
+// intact row and rejects the first corrupt one, which poisons trust in
+// everything after it.
+func (j *Journal) load(line []byte) bool {
+	var e journalEntry
+	if json.Unmarshal(line, &e) != nil || e.Key == "" || e.Result == nil {
+		return false
 	}
-	defer d.Close()
-	return d.Sync()
+	j.seen[e.Key] = e.Result
+	return true
 }
 
-// load scans the journal, filling seen, and returns the offset just past
-// the last intact row.
-func (j *Journal) load() (int64, error) {
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	br := bufio.NewReader(j.f)
-	var good int64
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			// io.EOF with a partial line is a torn append; any other error
-			// means the file itself is unreadable.
-			if err == io.EOF {
-				return good, nil
-			}
-			return 0, err
-		}
-		var e journalEntry
-		if json.Unmarshal([]byte(line), &e) != nil || e.Key == "" || e.Result == nil {
-			// A corrupt row poisons trust in everything after it.
-			return good, nil
-		}
-		j.seen[e.Key] = e.Result
-		good += int64(len(line))
-	}
-}
+// wlHashes caches core.WorkloadHash per workload for journal keys.
+type wlHashes map[*trace.Workload]uint64
 
 // key fingerprints a job. Cache hits make this a map lookup plus one
 // small hash even for huge workloads.
-func (j *Journal) key(job Job) string {
-	h, ok := j.wlHash[job.Workload]
+func (c wlHashes) key(job Job) string {
+	h, ok := c[job.Workload]
 	if !ok {
 		h = core.WorkloadHash(job.Workload.Raw())
-		j.wlHash[job.Workload] = h
+		c[job.Workload] = h
 	}
 	return fmt.Sprintf("%s|%016x|%016x", job.Name, core.ConfigHash(job.Config), h)
 }
@@ -164,52 +102,26 @@ func (j *Journal) key(job Job) string {
 func (j *Journal) Lookup(job Job) (*core.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	res, ok := j.seen[j.key(job)]
+	res, ok := j.seen[j.wlHash.key(job)]
 	return res, ok
 }
 
 // Record appends one completed row and syncs it to stable storage, so a
-// crash immediately after a job finishes cannot lose it. A failed write
-// or sync is rewound: the file is truncated back to the pre-append
-// offset so the partial bytes cannot poison the next append (without
-// the rewind, the following successful row would concatenate onto the
-// torn line and lenient reopen would discard both).
+// crash immediately after a job finishes cannot lose it. A failed append
+// leaves no partial bytes and does not mark the row as journaled.
 func (j *Journal) Record(job Job, res *core.Result) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	key := j.key(job)
+	key := j.wlHash.key(job)
 	line, err := json.Marshal(journalEntry{Key: key, Result: res})
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
-		return j.rewindLocked(fmt.Errorf("sweep: appending journal row: %w", err))
+	if err := j.log.Append(line); err != nil {
+		return fmt.Errorf("sweep: appending journal row: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		return j.rewindLocked(fmt.Errorf("sweep: syncing journal: %w", err))
-	}
-	j.off += int64(len(line))
 	j.seen[key] = res
 	return nil
-}
-
-// rewindLocked truncates a failed append back to the last durable
-// offset and returns cause (annotated if the rewind itself failed, in
-// which case the journal should be considered poisoned). Callers hold
-// j.mu.
-func (j *Journal) rewindLocked(cause error) error {
-	if err := j.f.Truncate(j.off); err != nil {
-		return fmt.Errorf("%w (and rewinding the torn tail failed: %v)", cause, err)
-	}
-	if _, err := j.f.Seek(j.off, io.SeekStart); err != nil {
-		return fmt.Errorf("%w (and rewinding the torn tail failed: %v)", cause, err)
-	}
-	// Persist the truncation; best-effort — the original failure is what
-	// the caller needs to see, and a sync that fails here will fail again
-	// (and be reported) on the next append.
-	j.f.Sync()
-	return cause
 }
 
 // Len returns the number of rows currently journaled.
@@ -220,7 +132,7 @@ func (j *Journal) Len() int {
 }
 
 // Close closes the underlying file. Recording after Close fails.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error { return j.log.Close() }
 
 // RewriteCanonical atomically replaces the journal at path with exactly
 // the given rows' successful results, in row order — the merge step of
@@ -228,33 +140,27 @@ func (j *Journal) Close() error { return j.f.Close() }
 // matching the append-path rule that only successful rows are
 // journaled; a single-node sweep run with one worker journals rows in
 // this same (job) order, so the rewritten file is byte-identical to the
-// journal that run would have produced. The replacement is crash-safe:
-// tmp file, fsync (inside Close via the journal's own Record syncs),
-// rename, directory fsync.
+// journal that run would have produced. The replacement is
+// durable.WriteFile's, so a crash leaves the old journal or the new one.
 func RewriteCanonical(path string, rows []Row) error {
-	tmp := path + ".tmp"
-	os.Remove(tmp)
-	j, err := OpenJournal(tmp)
+	wlHash := make(wlHashes)
+	err := durable.WriteFile(path, func(w io.Writer) error {
+		for i := range rows {
+			if rows[i].Err != nil || rows[i].Result == nil {
+				continue
+			}
+			line, err := json.Marshal(journalEntry{Key: wlHash.key(rows[i].Job), Result: rows[i].Result})
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(append(line, '\n')); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("sweep: opening canonical journal: %w", err)
+		return fmt.Errorf("sweep: writing canonical journal: %w", err)
 	}
-	for i := range rows {
-		if rows[i].Err != nil || rows[i].Result == nil {
-			continue
-		}
-		if err := j.Record(rows[i].Job, rows[i].Result); err != nil {
-			j.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := j.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sweep: closing canonical journal: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return nil
 }

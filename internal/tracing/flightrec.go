@@ -10,6 +10,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"hbmsim/internal/durable"
 )
 
 // LogRecord is one captured log line in the flight recorder's ring —
@@ -155,32 +157,12 @@ func (f *FlightRecorder) WriteDump(w io.Writer, reason string) error {
 	return enc.Encode(d)
 }
 
-// DumpToDir writes the dump atomically (temp + sync + rename) to
+// DumpToDir writes the dump atomically (durable.WriteFile) to
 // <dir>/flightrec-<unixnano>.json and returns the final path. A crash
 // mid-dump can leave at worst a stray .tmp file, never a torn dump.
 func (f *FlightRecorder) DumpToDir(dir, reason string) (string, error) {
 	path := filepath.Join(dir, fmt.Sprintf("flightrec-%d.json", time.Now().UnixNano()))
-	tmp := path + ".tmp"
-	file, err := os.Create(tmp)
-	if err != nil {
-		return "", err
-	}
-	if err := f.WriteDump(file, reason); err != nil {
-		file.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := file.Sync(); err != nil {
-		file.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := file.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(path, func(w io.Writer) error { return f.WriteDump(w, reason) }); err != nil {
 		return "", err
 	}
 	return path, nil
