@@ -84,18 +84,15 @@ func run() int {
 	// recorder is only as useful as what was recorded before the crash.
 	var tracer *tracing.Tracer
 	var flight *tracing.FlightRecorder
-	var otlp *tracing.OTLPWriter
 	if *traceOn {
 		opts := tracing.Options{Sample: *traceRate}
 		if *traceFile != "" {
-			f, err := os.OpenFile(*traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			otlp, closeOTLP, err := tracing.OpenOTLPFile(*traceFile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hbmserved: opening -trace-file: %v\n", err)
 				return 2
 			}
-			defer f.Close()
-			otlp = tracing.NewOTLPWriter(f)
-			defer otlp.Close()
+			defer closeOTLP()
 			opts.Exporters = append(opts.Exporters, otlp)
 		}
 		tracer = tracing.New(opts)

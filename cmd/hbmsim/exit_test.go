@@ -112,3 +112,19 @@ func TestCLISuccessPathsExitZero(t *testing.T) {
 		t.Fatalf("report lacks the optimality table; output:\n%s", out)
 	}
 }
+
+// TestTruncationWarningNamesTheCap: two cores contending for one HBM
+// slot livelock (DESIGN.md §4) until the automatic cap, 8*(8+1) +
+// 1024*(2+1+1) = 4168 ticks for this workload. The run still exits 0
+// with its partial table, and the warning names the cap that was hit,
+// not the makespan, and counts the cores left unfinished.
+func TestTruncationWarningNamesTheCap(t *testing.T) {
+	out, err := runCLI(t, "-gen", "uniform", "-cores", "2", "-size", "4", "-k", "1", "-q", "1")
+	if err != nil {
+		t.Fatalf("truncated run failed: %v\noutput:\n%s", err, out)
+	}
+	const want = "hbmsim: warning: core: simulation truncated at tick 4168 with 2 unfinished cores"
+	if !strings.Contains(out, want) {
+		t.Fatalf("output lacks %q:\n%s", want, out)
+	}
+}

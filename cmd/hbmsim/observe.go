@@ -143,8 +143,7 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 		multi.Attach(col.tracker)
 	}
 	if opts.metrics != nil {
-		// The Meter folds fast-forwarded stretches, so -http alone keeps
-		// the batched path.
+		// The Meter reads counters, not events: the step loop runs bare.
 		multi.Attach(hbmsim.NewMeter(opts.metrics))
 	}
 	// /progress is refreshed from the simulator's cursors between Steps,
@@ -165,26 +164,7 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 		}
 	}
 
-	// Fast-forward execution counters, scrapable live on /metrics while
-	// the run executes; published incrementally at the dead-sink cadence.
-	var publishFF func()
-	if opts.metrics != nil {
-		ffTicks := opts.metrics.Counter("core_ff_ticks_total",
-			"simulation ticks executed by the core fast-forward path")
-		ffStretches := opts.metrics.Counter("core_ff_stretches_total",
-			"contention-free stretches batched by the core fast-forward path")
-		var lastT, lastS uint64
-		publishFF = func() {
-			t, s := sim.FastForwardedTicks(), sim.FastForwardedStretches()
-			ffTicks.Add(t - lastT)
-			ffStretches.Add(s - lastS)
-			lastT, lastS = t, s
-		}
-	}
-
-	if multi.Len() > 0 {
-		sim.SetObserver(multi)
-	}
+	sim.SetObserver(multi)
 	// Dead-sink detection cadence: a latched write error on a streaming
 	// sink (a full disk, a closed pipe) aborts the run within this many
 	// ticks instead of simulating to completion and discovering the
@@ -210,17 +190,11 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 				closeAll()
 				return nil, nil, rs, err
 			}
-			if publishFF != nil {
-				publishFF()
-			}
 		}
 	}
 	rs.elapsed = time.Since(start)
 	rs.ffTicks = sim.FastForwardedTicks()
 	rs.ffStretches = sim.FastForwardedStretches()
-	if publishFF != nil {
-		publishFF()
-	}
 	if opts.checkpointEvery > 0 {
 		// One final snapshot so a resume of a finished run reproduces its
 		// result without re-simulating.
@@ -275,10 +249,7 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 			return res, nil, rs, err
 		}
 	}
-	if res.Truncated {
-		return res, col, rs, &hbmsim.TruncatedError{Ticks: res.Makespan, Unfinished: unfinished(res)}
-	}
-	return res, col, rs, nil
+	return res, col, rs, sim.Err()
 }
 
 // sinkErr returns the first write error latched by a streaming sink, so
@@ -321,20 +292,6 @@ func buildSim(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, resum
 // snapshot at the checkpoint path.
 func writeCheckpoint(ctx context.Context, sim *hbmsim.Sim, path string) error {
 	return durable.WriteFile(path, func(w io.Writer) error { return sim.CheckpointContext(ctx, w) })
-}
-
-// unfinished counts cores that never completed (completion tick 0 with
-// references remaining is not distinguishable from the Result alone, so
-// count cores whose serve count is below their trace length proxy: a core
-// with Completion 0 and Refs > 0 was cut off mid-trace).
-func unfinished(res *hbmsim.Result) int {
-	n := 0
-	for _, c := range res.PerCore {
-		if c.Completion == 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // report renders the in-process collectors' findings as tables.

@@ -98,14 +98,12 @@ func main() {
 	if *traceOn || *traceFile != "" {
 		topts := tracing.Options{Sample: *traceRate}
 		if *traceFile != "" {
-			f, err := os.OpenFile(*traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			otlp, closeOTLP, err := tracing.OpenOTLPFile(*traceFile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "hbmsweep: opening -trace-file: %v\n", err)
 				os.Exit(2)
 			}
-			defer f.Close()
-			otlp := tracing.NewOTLPWriter(f)
-			defer otlp.Close()
+			defer closeOTLP()
 			topts.Exporters = append(topts.Exporters, otlp)
 		}
 		tracer = tracing.New(topts)

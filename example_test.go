@@ -99,59 +99,6 @@ func ExampleSim_SetObserver() {
 	// hottest page: 0
 }
 
-// serveCounter counts serves and hits. It implements StretchObserver, so
-// a fast-forwarded stretch arrives as one OnStretch call: every active
-// core is served once per tick, the first serve with response first[i],
-// every later one a unit-response hit.
-type serveCounter struct {
-	hbmsim.NopObserver
-	serves, hits uint64
-}
-
-func (c *serveCounter) OnServe(_ hbmsim.CoreID, _ hbmsim.PageID, _, response hbmsim.Tick) {
-	c.serves++
-	if response == 1 {
-		c.hits++
-	}
-}
-
-func (c *serveCounter) OnStretch(_, n hbmsim.Tick, active []hbmsim.CoreID, first []hbmsim.Tick) bool {
-	for _, r := range first {
-		c.OnServe(0, 0, 0, r)
-	}
-	later := uint64(n-1) * uint64(len(active))
-	c.serves += later
-	c.hits += later
-	return true
-}
-
-// ExampleStretchObserver attaches a folding observer: the run keeps its
-// fast-forwarded stretches batched, and the observer's totals match the
-// Result exactly.
-func ExampleStretchObserver() {
-	// One core looping over two pages: two cold misses, then hits.
-	tr := make(hbmsim.Trace, 1000)
-	for i := range tr {
-		tr[i] = hbmsim.PageID(i % 2)
-	}
-	sim, err := hbmsim.NewSim(hbmsim.Config{HBMSlots: 4, Channels: 1}, hbmsim.NewWorkload("loop", []hbmsim.Trace{tr}))
-	if err != nil {
-		panic(err)
-	}
-	counter := &serveCounter{}
-	sim.SetObserver(counter)
-	for sim.Step() {
-	}
-	res := sim.Result()
-	fmt.Println("serves:", counter.serves, "of", res.TotalRefs)
-	fmt.Println("hits:", counter.hits, "of", res.Hits)
-	fmt.Println("batched:", sim.FastForwardedTicks() > 0)
-	// Output:
-	// serves: 1000 of 1000
-	// hits: 998 of 998
-	// batched: true
-}
-
 // ExampleNewTimeline collects windowed time series from a run: when each
 // core was served, how full the DRAM queue was, and how fair the window
 // was (Jain's index over per-core serve counts).

@@ -41,6 +41,7 @@ import (
 
 	"hbmsim/internal/arbiter"
 	"hbmsim/internal/core"
+	"hbmsim/internal/durable"
 	"hbmsim/internal/knl"
 	"hbmsim/internal/lowerbound"
 	"hbmsim/internal/membackend"
@@ -387,25 +388,14 @@ const (
 // measurements (Table 2).
 func DefaultKNL() KNLMachine { return knl.Default() }
 
-// WriteWorkload saves a workload; the format is chosen by extension
-// (".txt" → text, anything else → binary).
+// WriteWorkload saves a workload atomically (see durable.WriteFile); the
+// format is chosen by extension (".txt" → text, anything else → binary).
 func WriteWorkload(path string, wl *Workload) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := encodeWorkload(f, wl, path); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func encodeWorkload(w io.Writer, wl *Workload, path string) error {
+	encode := trace.WriteBinary
 	if strings.EqualFold(filepath.Ext(path), ".txt") {
-		return trace.WriteText(w, wl)
+		encode = trace.WriteText
 	}
-	return trace.WriteBinary(w, wl)
+	return durable.WriteFile(path, func(w io.Writer) error { return encode(w, wl) })
 }
 
 // ReadWorkload loads a workload saved by WriteWorkload.

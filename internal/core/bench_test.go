@@ -35,26 +35,45 @@ func benchWorkload(p, pagesPerCore, refsPerCore int) [][]model.PageID {
 	return ts
 }
 
-// benchSim measures simulator throughput in serves (refs) per second.
-func benchSim(b *testing.B, cfg Config) {
+// benchRun simulates ts under cfg once per iteration, with prep (if
+// not nil) applied to each fresh Sim, and reports throughput in serves
+// (refs) per second. Next to allocs/op it reports the run's
+// deterministic work counts, which a snapshot can compare across hosts:
+// executed ticks, fast-forwarded ticks and evictions per run.
+func benchRun(b *testing.B, cfg Config, ts [][]model.PageID, prep func(*Sim)) {
 	b.Helper()
-	ts := benchWorkload(32, 256, 4096)
 	var refs uint64
 	for _, tr := range ts {
 		refs += uint64(len(tr))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var s *Sim
+	var res *Result
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, ts)
-		if err != nil {
+		var err error
+		if s, err = New(cfg, ts); err != nil {
 			b.Fatal(err)
 		}
-		if res.TotalRefs != refs {
+		if prep != nil {
+			prep(s)
+		}
+		for s.Step() {
+		}
+		if res = s.Result(); res.TotalRefs != refs {
 			b.Fatal("incomplete run")
 		}
 	}
 	b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+	b.ReportMetric(float64(s.Tick()), "ticks/op")
+	b.ReportMetric(float64(s.FastForwardedTicks()), "ff_ticks/op")
+	b.ReportMetric(float64(res.Evictions), "evictions/op")
+}
+
+// benchSim measures simulator throughput on the contended benchWorkload.
+func benchSim(b *testing.B, cfg Config) {
+	b.Helper()
+	benchRun(b, cfg, benchWorkload(32, 256, 4096), nil)
 }
 
 func BenchmarkSimFIFO(b *testing.B) {
@@ -112,47 +131,7 @@ func benchSimObserver(b *testing.B, obs Observer) {
 		HBMSlots: 2048, Channels: 1,
 		Arbiter: arbiter.Priority, Permuter: arbiter.Dynamic, RemapPeriod: 20480,
 	}
-	ts := benchWorkload(32, 256, 4096)
-	var refs uint64
-	for _, tr := range ts {
-		refs += uint64(len(tr))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := New(cfg, ts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.SetObserver(obs)
-		for s.Step() {
-		}
-		if s.Result().TotalRefs != refs {
-			b.Fatal("incomplete run")
-		}
-	}
-	b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
-}
-
-// benchSimTraces is benchSim over a caller-supplied workload.
-func benchSimTraces(b *testing.B, cfg Config, ts [][]model.PageID) {
-	b.Helper()
-	var refs uint64
-	for _, tr := range ts {
-		refs += uint64(len(tr))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, ts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TotalRefs != refs {
-			b.Fatal("incomplete run")
-		}
-	}
-	b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+	benchRun(b, cfg, benchWorkload(32, 256, 4096), func(s *Sim) { s.SetObserver(obs) })
 }
 
 // hitStretchWorkload is the fast-forward path's best case: p cores, each
@@ -184,7 +163,7 @@ func BenchmarkSimHitStretch(b *testing.B) {
 	for _, p := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			ts := hitStretchWorkload(p, 65536, 48, 2048)
-			benchSimTraces(b, Config{HBMSlots: 4096, Channels: 4}, ts)
+			benchRun(b, Config{HBMSlots: 4096, Channels: 4}, ts, nil)
 		})
 	}
 }
@@ -193,34 +172,15 @@ func BenchmarkSimHitStretch(b *testing.B) {
 // a stretch folds without any policy replay at all.
 func BenchmarkSimHitStretchFIFO(b *testing.B) {
 	ts := hitStretchWorkload(8, 65536, 48, 2048)
-	benchSimTraces(b, Config{HBMSlots: 4096, Channels: 4, Replacement: replacement.FIFO}, ts)
+	benchRun(b, Config{HBMSlots: 4096, Channels: 4, Replacement: replacement.FIFO}, ts, nil)
 }
 
 // BenchmarkSimHitStretchUnbatched is the p=8 hit-stretch shape with the
 // fast-forward path disabled: the committed baseline the batched
 // benchmarks above are compared against.
 func BenchmarkSimHitStretchUnbatched(b *testing.B) {
-	cfg := Config{HBMSlots: 4096, Channels: 4}
 	ts := hitStretchWorkload(8, 65536, 48, 2048)
-	var refs uint64
-	for _, tr := range ts {
-		refs += uint64(len(tr))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := New(cfg, ts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.noFF = true
-		for s.Step() {
-		}
-		if s.Result().TotalRefs != refs {
-			b.Fatal("incomplete run")
-		}
-	}
-	b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+	benchRun(b, Config{HBMSlots: 4096, Channels: 4}, ts, func(s *Sim) { s.noFF = true })
 }
 
 // zipfianHotspotWorkload draws each core's refs from a Zipf distribution
@@ -245,7 +205,7 @@ func zipfianHotspotWorkload(p, refsPerCore, pages int) [][]model.PageID {
 // where fast-forward engages opportunistically between misses.
 func BenchmarkSimZipfianHotspot(b *testing.B) {
 	ts := zipfianHotspotWorkload(16, 32768, 4096)
-	benchSimTraces(b, Config{HBMSlots: 8192, Channels: 4}, ts)
+	benchRun(b, Config{HBMSlots: 8192, Channels: 4}, ts, nil)
 }
 
 func BenchmarkSimObserverNil(b *testing.B) {

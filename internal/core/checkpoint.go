@@ -319,6 +319,7 @@ func Resume(rd io.Reader, cfg Config, traces [][]model.PageID) (*Sim, error) {
 			}
 		}
 	}
+	s.base = *s.counters() // the Sim's own counts so far: the ledger counts from here
 	return s, nil
 }
 

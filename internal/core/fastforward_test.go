@@ -344,110 +344,102 @@ func FuzzFastForwardDifferential(f *testing.F) {
 		}
 		diffLines(t, "fast-forward", ffRec.lines, plainRec.lines)
 
-		// A third simulator carries a folding observer: it must see the
-		// same stretches folded (not replayed) and end with the per-tick
-		// recording's totals.
-		folded, err := New(cfg, ts)
+		// A third simulator carries only a counter observer, so it runs
+		// with no event observer, as a metered run does. All three leave
+		// the ledger the per-tick event stream adds up to; only the
+		// fast-forward counters tell the steppers apart.
+		counted, err := New(cfg, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc := newFoldCounter(len(ts))
-		folded.SetObserver(fc)
-		for folded.Step() {
+		cc := &counterCopy{}
+		counted.SetObserver(cc)
+		for counted.Step() {
 		}
-		if res := folded.Result(); !reflect.DeepEqual(res, plainRes) {
-			t.Fatalf("cfg %+v: folded result diverges:\nfolded: %+v\n plain: %+v", cfg, res, plainRes)
+		if res := counted.Result(); !reflect.DeepEqual(res, plainRes) {
+			t.Fatalf("cfg %+v: counted result diverges:\ncounted: %+v\n  plain: %+v", cfg, res, plainRes)
 		}
-		if want := recordedCounts(t, plainRec.lines, len(ts)); !reflect.DeepEqual(fc.counts, want) {
-			t.Fatalf("cfg %+v: folded totals %+v, per-tick recording %+v", cfg, fc.counts, want)
-		}
-		if fc.stretches != folded.FastForwardedStretches() ||
-			folded.FastForwardedTicks() != ff.FastForwardedTicks() {
-			t.Fatalf("cfg %+v: folded %d of %d stretches (%d ticks; unobserved run %d)", cfg,
-				fc.stretches, folded.FastForwardedStretches(), folded.FastForwardedTicks(), ff.FastForwardedTicks())
+		want := recordedLedger(t, plainRec.lines)
+		for name, got := range map[string]Counters{
+			"fast-forward": *ff.counters(), "per-tick": *plain.counters(), "pushed": cc.pushes[len(cc.pushes)-1],
+		} {
+			wantFF := ff.ffTicks
+			if name == "per-tick" {
+				wantFF = 0
+			}
+			if got.FFTicks != wantFF {
+				t.Fatalf("cfg %+v: %s ledger has %d ff ticks, want %d", cfg, name, got.FFTicks, wantFF)
+			}
+			got.FFTicks, got.FFStretches = 0, 0
+			if got != want {
+				t.Fatalf("cfg %+v: %s ledger\n%+v\nper-tick events add up to\n%+v", cfg, name, got, want)
+			}
 		}
 	})
 }
 
-// foldCounts are the totals a counting observer keeps: per-core serves
-// and hits, the response sum, tick ends, and the end-of-tick queue-depth
-// sum.
-type foldCounts struct {
-	Serves, Hits             []uint64
-	RespSum, Ticks, DepthSum uint64
+// observe adds one observation of v to d.
+func (d *Dist) observe(v uint64) {
+	d.Sum += v
+	d.Buckets[bucket(v)]++
 }
 
-func newFoldCounts(cores int) foldCounts {
-	return foldCounts{Serves: make([]uint64, cores), Hits: make([]uint64, cores)}
-}
-
-func (c *foldCounts) serve(core model.CoreID, resp model.Tick) {
-	c.Serves[core]++
-	if resp == 1 {
-		c.Hits[core]++
-	}
-	c.RespSum += uint64(resp)
-}
-
-// foldCounter is a test-only folding observer (StretchObserver) over
-// foldCounts; stretches counts its OnStretch calls.
-type foldCounter struct {
-	NopObserver
-	counts    foldCounts
-	stretches uint64
-}
-
-func newFoldCounter(cores int) *foldCounter { return &foldCounter{counts: newFoldCounts(cores)} }
-
-func (f *foldCounter) OnServe(c model.CoreID, _ model.PageID, _, resp model.Tick) {
-	f.counts.serve(c, resp)
-}
-
-func (f *foldCounter) OnTickEnd(_ model.Tick, depth, _ int) {
-	f.counts.Ticks++
-	f.counts.DepthSum += uint64(depth)
-}
-
-func (f *foldCounter) OnStretch(_, n model.Tick, active []model.CoreID, first []model.Tick) bool {
-	f.stretches++
-	for i, c := range active {
-		f.counts.serve(c, first[i])
-		f.counts.Serves[c] += uint64(n - 1)
-		f.counts.Hits[c] += uint64(n - 1)
-		f.counts.RespSum += uint64(n - 1)
-	}
-	f.counts.Ticks += uint64(n)
-	return true
-}
-
-// recordedCounts derives foldCounts from a streamRecorder's lines.
-func recordedCounts(t *testing.T, lines []string, cores int) foldCounts {
+// recordedLedger adds up a streamRecorder's lines into the ledger they
+// describe, fast-forward counters aside.
+func recordedLedger(t *testing.T, lines []string) Counters {
 	t.Helper()
-	c := newFoldCounts(cores)
+	var c Counters
 	for _, l := range lines {
-		var core, page, tick, resp, depth, busy int
+		var core, page, tick, wait, resp, depth, busy int
+		var err error
 		switch {
+		case strings.HasPrefix(l, "queue "):
+			c.Queued++
+		case strings.HasPrefix(l, "grant "):
+			_, err = fmt.Sscanf(l, "grant c=%d p=%d t=%d wait=%d", &core, &page, &tick, &wait)
+			c.Grants++
+			c.GrantWait.observe(uint64(wait))
 		case strings.HasPrefix(l, "serve "):
-			if _, err := fmt.Sscanf(l, "serve c=%d p=%d t=%d resp=%d", &core, &page, &tick, &resp); err != nil {
-				t.Fatalf("parsing %q: %v", l, err)
+			_, err = fmt.Sscanf(l, "serve c=%d p=%d t=%d resp=%d", &core, &page, &tick, &resp)
+			c.Serves++
+			if resp == 1 {
+				c.Hits++
 			}
-			c.serve(model.CoreID(core), model.Tick(resp))
+			c.Response.observe(uint64(resp))
+		case strings.HasPrefix(l, "fetch "):
+			c.Fetches++
+		case strings.HasPrefix(l, "evict "):
+			c.Evictions++
+		case strings.HasPrefix(l, "remap "):
+			c.Remaps++
 		case strings.HasPrefix(l, "tick "):
-			if _, err := fmt.Sscanf(l, "tick t=%d depth=%d busy=%d", &tick, &depth, &busy); err != nil {
-				t.Fatalf("parsing %q: %v", l, err)
-			}
+			_, err = fmt.Sscanf(l, "tick t=%d depth=%d busy=%d", &tick, &depth, &busy)
 			c.Ticks++
-			c.DepthSum += uint64(depth)
+			c.QueueDepth.observe(uint64(depth))
+		}
+		if err != nil {
+			t.Fatalf("parsing %q: %v", l, err)
 		}
 	}
 	return c
 }
 
-// TestMultiObserverFoldsOnlyWhenAllFold pins the fan-out's rule: a
-// MultiObserver folds stretches only when every member (nested fan-outs
-// included) folds; one replaying member makes every member replay, and
-// the folding members' totals are the same either way.
-func TestMultiObserverFoldsOnlyWhenAllFold(t *testing.T) {
+// counterCopy is a test-only CounterObserver that keeps the ledgers it
+// is handed. Its event callbacks, which the simulator must never call,
+// record into the embedded streamRecorder.
+type counterCopy struct {
+	streamRecorder
+	pushes []Counters
+}
+
+func (c *counterCopy) OnCounters(l *Counters) { c.pushes = append(c.pushes, *l) }
+
+// TestSetObserverSplitsCounterObservers pins SetObserver's split: counter
+// observers alone, in a fan-out, or nested leave no event observer
+// installed; in a mixed set only the event members receive events. Either
+// way every counter observer ends with the ledger the per-tick event
+// stream adds up to.
+func TestSetObserverSplitsCounterObservers(t *testing.T) {
 	ts := hitHeavyWorkload(3, 400, 5)
 	cfg := Config{HBMSlots: 32, Channels: 2, Seed: 11}
 	plain, err := New(cfg, ts)
@@ -455,44 +447,163 @@ func TestMultiObserverFoldsOnlyWhenAllFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain.noFF = true
-	rec, _ := runRecorded(plain)
-	want := recordedCounts(t, rec.lines, len(ts))
+	plainRec, _ := runRecorded(plain)
+	want := recordedLedger(t, plainRec.lines)
 
 	for _, tc := range []struct {
-		name  string
-		build func(fc *foldCounter) Observer
-		folds bool
+		name   string
+		build  func(cc, cc2 *counterCopy, rec *streamRecorder) Observer
+		events bool
 	}{
-		{"alone", func(fc *foldCounter) Observer { return fc }, true},
-		{"multi", func(fc *foldCounter) Observer { return NewMultiObserver(fc, newFoldCounter(len(ts))) }, true},
-		{"nested", func(fc *foldCounter) Observer { return NewMultiObserver(NewMultiObserver(fc), NewMultiObserver()) }, true},
-		{"mixed", func(fc *foldCounter) Observer { return NewMultiObserver(fc, &streamRecorder{}) }, false},
-		{"nested-mixed", func(fc *foldCounter) Observer {
-			return NewMultiObserver(fc, NewMultiObserver(&streamRecorder{}))
+		{"alone", func(cc, _ *counterCopy, _ *streamRecorder) Observer { return cc }, false},
+		{"multi", func(cc, cc2 *counterCopy, _ *streamRecorder) Observer { return NewMultiObserver(cc, cc2) }, false},
+		{"nested", func(cc, cc2 *counterCopy, _ *streamRecorder) Observer {
+			return NewMultiObserver(NewMultiObserver(cc), NewMultiObserver(), NewMultiObserver(NewMultiObserver(cc2)))
 		}, false},
+		{"mixed", func(cc, cc2 *counterCopy, rec *streamRecorder) Observer { return NewMultiObserver(cc, rec, cc2) }, true},
+		{"nested-mixed", func(cc, cc2 *counterCopy, rec *streamRecorder) Observer {
+			return NewMultiObserver(cc, NewMultiObserver(rec, cc2))
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(cfg, ts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fc := newFoldCounter(len(ts))
-			s.SetObserver(tc.build(fc))
+			cc, cc2, rec := &counterCopy{}, &counterCopy{}, &streamRecorder{}
+			s.SetObserver(tc.build(cc, cc2, rec))
+			if installed := s.obs != nil; installed != tc.events {
+				t.Fatalf("event observer installed: %v, want %v", installed, tc.events)
+			}
 			for s.Step() {
 			}
-			if s.FastForwardedStretches() == 0 {
+			if s.ffTicks == 0 {
 				t.Fatal("fast-forward never engaged; the test is vacuous")
 			}
-			if !reflect.DeepEqual(fc.counts, want) {
-				t.Fatalf("totals %+v, per-tick recording %+v", fc.counts, want)
+			for _, c := range []*counterCopy{cc, cc2} {
+				if tc.name == "alone" && c == cc2 {
+					continue
+				}
+				if len(c.lines) != 0 {
+					t.Fatalf("a counter observer received %d events, first %q", len(c.lines), c.lines[0])
+				}
+				if len(c.pushes) == 0 {
+					t.Fatal("a counter observer never received the ledger")
+				}
+				got := c.pushes[len(c.pushes)-1]
+				got.FFTicks, got.FFStretches = 0, 0
+				if got != want {
+					t.Fatalf("final ledger\n%+v\nper-tick events add up to\n%+v", got, want)
+				}
 			}
-			var wantFolded uint64
-			if tc.folds {
-				wantFolded = s.FastForwardedStretches()
-			}
-			if fc.stretches != wantFolded {
-				t.Fatalf("folded %d of %d stretches, want %d", fc.stretches, s.FastForwardedStretches(), wantFolded)
+			if tc.events {
+				diffLines(t, "event member", rec.lines, plainRec.lines)
+			} else if len(rec.lines) != 0 {
+				t.Fatalf("%d events reached an observer that was not attached", len(rec.lines))
 			}
 		})
+	}
+}
+
+// TestCounterObserverCadence pins when Step hands over the ledger: on
+// the first Step at or past each multiple of 1024 ticks, and on every
+// Step that returns false. A push allocates nothing.
+func TestCounterObserverCadence(t *testing.T) {
+	ts := benchWorkload(4, 64, 1500)
+	for _, noFF := range []bool{true, false} {
+		s, err := New(Config{HBMSlots: 128, Channels: 1}, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.noFF = noFF
+		cc := &counterCopy{}
+		s.SetObserver(cc)
+		var want []uint64
+		next := model.Tick(counterTicks)
+		for s.Step() {
+			if s.tick >= next {
+				want = append(want, uint64(s.tick))
+				next = (s.tick/counterTicks + 1) * counterTicks
+			}
+		}
+		want = append(want, uint64(s.tick))
+		s.Step() // a finished run pushes again, unchanged
+		want = append(want, uint64(s.tick))
+		var got []uint64
+		for _, c := range cc.pushes {
+			got = append(got, c.Ticks)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("noFF=%v: pushed at ticks %v, want %v", noFF, got, want)
+		}
+		if noFF && len(want) < 4 {
+			t.Fatalf("only %d pushes; the run is too short to test the cadence", len(want))
+		}
+		if last := cc.pushes[len(cc.pushes)-1]; last.Serves != s.Result().TotalRefs {
+			t.Fatalf("noFF=%v: final ledger has %d serves, Result %d", noFF, last.Serves, s.Result().TotalRefs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.pushCounters(true); cc.pushes = cc.pushes[:0] }); allocs != 0 {
+			t.Fatalf("a push allocates %v times", allocs)
+		}
+	}
+}
+
+// TestLedgerCountsFromResume: a resumed simulator's ledger starts at
+// zero, so it holds exactly what the uninterrupted run's ledger gained
+// after the checkpoint.
+func TestLedgerCountsFromResume(t *testing.T) {
+	ts := checkpointWorkload()
+	cfg := Config{HBMSlots: 8, Channels: 2, FetchLatency: 3, Arbiter: arbiter.Priority,
+		Permuter: arbiter.Dynamic, RemapPeriod: 5, Seed: 42}
+	const at = 40
+	full, err := New(cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.SetBoundary(at)
+	for full.Tick() < at && full.Step() {
+	}
+	var snap bytes.Buffer
+	if err := full.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	before := *full.counters()
+	for full.Step() {
+	}
+	after := *full.counters()
+
+	resumed, err := Resume(&snap, cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed.SetBoundary(at)
+	for resumed.Step() {
+	}
+	got := *resumed.counters()
+	// The attempt hold-off and the scan caches are not checkpointed, so
+	// the two runs may batch different stretches after the checkpoint.
+	got.FFTicks, got.FFStretches = 0, 0
+	want := after
+	want.FFTicks, want.FFStretches = 0, 0
+	for _, f := range []struct{ w, b *uint64 }{
+		{&want.Ticks, &before.Ticks}, {&want.Serves, &before.Serves}, {&want.Hits, &before.Hits},
+		{&want.Queued, &before.Queued}, {&want.Grants, &before.Grants}, {&want.Fetches, &before.Fetches},
+		{&want.Evictions, &before.Evictions}, {&want.Remaps, &before.Remaps},
+	} {
+		*f.w -= *f.b
+	}
+	for _, d := range []struct{ w, b *Dist }{
+		{&want.QueueDepth, &before.QueueDepth}, {&want.GrantWait, &before.GrantWait}, {&want.Response, &before.Response},
+	} {
+		d.w.Sum -= d.b.Sum
+		for i := range d.w.Buckets {
+			d.w.Buckets[i] -= d.b.Buckets[i]
+		}
+	}
+	if before.Serves == 0 || got.Serves == 0 {
+		t.Fatalf("checkpoint at tick %d splits nothing: %d serves before, %d after", at, before.Serves, got.Serves)
+	}
+	if got != want {
+		t.Fatalf("resumed ledger\n%+v\nwant the uninterrupted run's gain\n%+v", got, want)
 	}
 }

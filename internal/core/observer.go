@@ -39,32 +39,14 @@ type Observer interface {
 	OnTickEnd(tick model.Tick, queueDepth, channelsBusy int)
 }
 
-// StretchObserver is an Observer that folds a fast-forwarded stretch in
-// one call instead of receiving its per-tick events. Fast-forward batches
-// contention-free stretches (see Sim.Step); with a StretchObserver
-// attached, the stretch keeps its batched cost, while any other observer
-// makes the simulator replay the stretch's events tick by tick. Which
-// path runs follows from the attached observer's type alone.
-//
-// Observers that only count — the telemetry Meter — implement it; those
-// that need every page or every tick's timestamp (event logs, traces,
-// per-page heat, windowed series) do not. NopObserver deliberately does
-// not, so embedding it never opts an observer into folding.
-type StretchObserver interface {
+// CounterObserver is an Observer that reads the simulator's counter
+// ledger instead of receiving events, so it costs the step loop nothing
+// per event. Step hands it the ledger on the first Step at or past each
+// multiple of 1024 ticks and on every Step that returns false. The
+// ledger is the simulator's own storage: copy what must outlive the call.
+type CounterObserver interface {
 	Observer
-	// OnStretch stands in for the OnServe and OnTickEnd events of ticks
-	// t0+1 .. t0+n. On each of those ticks every core in active is
-	// served once, in ascending core order: active[i]'s first serve (at
-	// tick t0+1) has response first[i], every later one has response 1.
-	// Each tick ends with queue depth 0 and no grants, and no other event
-	// fires. Both slices are reused across calls and must not be
-	// retained.
-	//
-	// OnStretch reports whether it folded the stretch. It returns false,
-	// having done nothing, when it cannot — a MultiObserver with a member
-	// that is not a StretchObserver — and the simulator then replays the
-	// stretch tick by tick. Leaf observers fold and return true.
-	OnStretch(t0, n model.Tick, active []model.CoreID, first []model.Tick) bool
+	OnCounters(*Counters)
 }
 
 // NopObserver implements Observer with empty callbacks. Embed it to build
@@ -81,9 +63,8 @@ func (NopObserver) OnTickEnd(model.Tick, int, int)                             {
 
 // MultiObserver fans every event out to several observers in attach order,
 // so independent consumers (a timeline, a heat map, a trace exporter) can
-// watch one simulation together. It folds fast-forwarded stretches only
-// when every consumer folds (see StretchObserver); a mixed set replays
-// every stretch tick by tick for all of them.
+// watch one simulation together. SetObserver reads its members once, so
+// attach them all before installing it.
 type MultiObserver struct {
 	obs []Observer
 }
@@ -150,40 +131,35 @@ func (m *MultiObserver) OnTickEnd(t model.Tick, depth, busy int) {
 	}
 }
 
-// OnStretch implements StretchObserver: it forwards the stretch to every
-// consumer when all of them fold, and otherwise forwards nothing and
-// returns false.
-func (m *MultiObserver) OnStretch(t0, n model.Tick, active []model.CoreID, first []model.Tick) bool {
-	if !m.folds() {
-		return false
-	}
-	for _, o := range m.obs {
-		o.(StretchObserver).OnStretch(t0, n, active, first)
-	}
-	return true
-}
-
-// folds reports whether every consumer folds stretches. It is decided
-// before anything is forwarded, because a consumer that has folded a
-// stretch cannot take it back; nested fan-outs are asked the same
-// question, since they implement OnStretch whatever their members.
-func (m *MultiObserver) folds() bool {
-	for _, o := range m.obs {
-		switch o := o.(type) {
-		case *MultiObserver:
-			if !o.folds() {
-				return false
-			}
-		case StretchObserver:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // SetObserver installs an observer for subsequent Steps; nil removes it.
-// Use NewMultiObserver to attach several consumers at once. Observers do
-// not affect simulation results; a StretchObserver also keeps
-// fast-forwarded stretches batched.
-func (s *Sim) SetObserver(o Observer) { s.obs = o }
+// Use NewMultiObserver to attach several consumers at once. Counter
+// observers, alone or at any depth of a fan-out, get the ledger and no
+// events, so a fan-out of only counter observers leaves the step loop
+// unobserved; the other members get every event in attach order.
+// Observers do not affect simulation results.
+func (s *Sim) SetObserver(o Observer) {
+	s.obs, s.cobs = nil, nil
+	events := &MultiObserver{}
+	s.split(o, events)
+	if len(events.obs) == 1 {
+		s.obs = events.obs[0]
+	} else if len(events.obs) > 1 {
+		s.obs = events
+	}
+	s.nextPush = (s.tick/counterTicks + 1) * counterTicks
+}
+
+// split sorts o into counter observers, kept in s.cobs, and event
+// observers, flattening fan-outs in attach order.
+func (s *Sim) split(o Observer, events *MultiObserver) {
+	switch o := o.(type) {
+	case CounterObserver:
+		s.cobs = append(s.cobs, o)
+	case *MultiObserver:
+		for _, m := range o.obs {
+			s.split(m, events)
+		}
+	default:
+		events.Attach(o)
+	}
+}

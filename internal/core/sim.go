@@ -130,9 +130,7 @@ type Sim struct {
 	// touchBuf is the reused scratch for batched touch replay.
 	touchBuf []model.PageID
 
-	// fast-forward telemetry: ticks and stretches executed by the batched
-	// path. Not part of Result or snapshots — the counters describe how a
-	// run was executed, not what it computed.
+	// Ticks and stretches the fast-forward path batched (see Counters).
 	ffTicks     uint64
 	ffStretches uint64
 
@@ -149,15 +147,17 @@ type Sim struct {
 	queueTicks uint64
 	hist       *stats.Histogram
 
-	// first is OnStretch's per-active-core first-response scratch,
-	// sharing reqTick's backing allocation. It is declared after every
-	// per-tick field so the hot fields keep their layout.
-	first []model.Tick
-
 	// fp caches fingerprint() once fpSet: the config and traces never
 	// change after New, so the workload is hashed at most once per Sim.
 	fp    uint64
 	fpSet bool
+
+	// The counter ledger (see counters), after every per-tick field so
+	// the hot fields keep their layout, and the counter observers.
+	led, base Counters
+	missSum   uint64
+	cobs      []CounterObserver
+	nextPush  model.Tick
 }
 
 // New builds a simulator for the given per-core reference sequences.
@@ -261,7 +261,6 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 	// construction stays a handful of allocations even with the
 	// fast-forward scan caches.
 	intBuf := make([]int, 2*p)
-	tickBuf := make([]model.Tick, 2*p)
 	boolBuf := make([]bool, 2*p)
 	i32Buf := make([]int32, p+u)
 	s := &Sim{
@@ -273,8 +272,7 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 		traces:     traces,
 		pos:        intBuf[:p:p],
 		scanTo:     intBuf[p:],
-		reqTick:    tickBuf[:p:p],
-		first:      tickBuf[p:],
+		reqTick:    make([]model.Tick, p),
 		queued:     boolBuf[:p:p],
 		scanMiss:   boolBuf[p:],
 		pri:        i32Buf[:p:p],
@@ -374,10 +372,8 @@ func (s *Sim) Remaining() int {
 // single-tick stepping. Zero (the default) removes the constraint.
 func (s *Sim) SetBoundary(every model.Tick) { s.boundary = every }
 
-// FastForwardedTicks returns the number of ticks executed by the
-// batched fast-forward path. The counters are execution telemetry, not
-// simulation state: they are absent from Result and snapshots, and a
-// resumed run restarts them at zero.
+// FastForwardedTicks returns the ticks the fast-forward path batched:
+// the ledger's FFTicks (see Counters), counted from New or Resume.
 func (s *Sim) FastForwardedTicks() uint64 { return s.ffTicks }
 
 // FastForwardedStretches returns the number of contention-free stretches
@@ -390,14 +386,11 @@ func (s *Sim) FastForwardedStretches() uint64 { return s.ffStretches }
 // transfer completes before the stretch ends, Step instead
 // fast-forwards the whole contention-free stretch in one call (see
 // fastForward) with bit-identical Results, snapshots, and Observer
-// event streams — except that a folding StretchObserver receives one
-// OnStretch call in place of the stretch's OnServe and OnTickEnd events.
+// event streams.
 func (s *Sim) Step() bool {
-	if s.Done() || s.truncd {
-		return false
-	}
-	if s.tick >= s.capT {
-		s.truncd = true
+	if s.Done() || s.truncd || s.tick >= s.capT {
+		s.truncd = !s.Done() // true once the tick cap is hit
+		s.pushCounters(true)
 		return false
 	}
 
@@ -421,7 +414,7 @@ func (s *Sim) Step() bool {
 			if n < ffPayoff {
 				s.ffHold = ffHoldTicks
 			}
-			return !s.Done()
+			return s.more()
 		}
 		s.ffHold = ffHoldTicks
 	}
@@ -527,6 +520,9 @@ func (s *Sim) Step() bool {
 			break
 		}
 		granted++
+		wait := uint64(t - r.Issued)
+		s.led.GrantWait.Buckets[bucket(wait)]++
+		s.led.GrantWait.Sum += wait
 		if s.obs != nil {
 			s.obs.OnGrant(r.Core, s.orig(r.Page), t, t-r.Issued)
 		}
@@ -564,10 +560,13 @@ func (s *Sim) Step() bool {
 		s.nextActive = append(s.nextActive, a.Core)
 	}
 
-	s.queueSum += uint64(s.arb.Len())
+	depth := s.arb.Len()
+	s.queueSum += uint64(depth)
 	s.queueTicks++
+	s.led.Grants += uint64(granted)
+	s.led.QueueDepth.Buckets[bucket(uint64(depth))]++
 	if s.obs != nil {
-		s.obs.OnTickEnd(t, s.arb.Len(), granted)
+		s.obs.OnTickEnd(t, depth, granted)
 	}
 
 	// Rebuild the next tick's active set in ascending core order without
@@ -599,7 +598,7 @@ func (s *Sim) Step() bool {
 	dst = append(dst, a[i:]...)
 	dst = append(dst, tail[j:]...)
 	s.active = dst
-	return !s.Done()
+	return s.more()
 }
 
 // Attempt hold-off tuning (see the ffHold field). A stretch under
@@ -733,16 +732,15 @@ func (s *Sim) invalidateScan(pg model.PageID) {
 // TouchAll, or skipped when Touch is a no-op), per-core response stats
 // are folded in closed form — the stretch's first serve can carry a
 // response > 1 when the core's fetch landed on the stretch's first tick;
-// every later serve is a unit-response hit. An attached observer either
-// folds the stretch in one OnStretch call (see StretchObserver), which
-// keeps the batched touch replay, or receives the identical per-tick
-// OnServe/OnTickEnd event stream. With no observer or a folding one, and
-// a no-op Touch, the whole stretch costs O(active).
+// every later serve is a unit-response hit. An attached event observer
+// receives the identical per-tick OnServe/OnTickEnd event stream; with
+// none, the touches are replayed in batches, and with a no-op Touch the
+// whole stretch costs O(active).
 func (s *Sim) fastForward(n model.Tick) {
 	t0 := s.tick
 	tEnd := t0 + n
 
-	if s.obs != nil && !s.foldStretch(t0, n) {
+	if s.obs != nil {
 		// Event replay interleaves Touch and OnServe per core, exactly as
 		// step 4 of the slow path does.
 		for k := model.Tick(0); k < n; k++ {
@@ -812,6 +810,9 @@ func (s *Sim) fastForward(n model.Tick) {
 		c := &s.cores[ci]
 		w1 := t0 + 1 - s.reqTick[ci] + 1
 		c.resp.record(float64(w1))
+		if w1 > 1 {
+			s.noteMiss(w1)
+		}
 		c.resp.hits += uint64(n) - 1
 		if s.hist != nil {
 			s.hist.Add(uint64(w1))
@@ -854,24 +855,9 @@ func (s *Sim) fastForward(n model.Tick) {
 		s.makespan = tEnd
 	}
 	s.queueTicks += uint64(n) // queue depth is 0 on every stretch tick
+	s.led.QueueDepth.Buckets[0] += uint64(n)
 	s.ffTicks += uint64(n)
 	s.ffStretches++
-}
-
-// foldStretch offers the stretch of ticks t0+1 .. t0+n to a folding
-// observer and reports whether it took it; on false the caller replays
-// the stretch's per-tick events instead. It runs before fastForward's
-// fold advances reqTick, so first holds each core's first response.
-func (s *Sim) foldStretch(t0, n model.Tick) bool {
-	so, ok := s.obs.(StretchObserver)
-	if !ok {
-		return false
-	}
-	first := s.first[:len(s.active)]
-	for i, ci := range s.active {
-		first[i] = t0 + 2 - s.reqTick[ci]
-	}
-	return so.OnStretch(t0, n, s.active, first)
 }
 
 // orig translates a dense internal page ID back to the caller's original
@@ -888,17 +874,20 @@ func (s *Sim) orig(p model.PageID) model.PageID {
 // advances the core.
 func (s *Sim) serve(ci model.CoreID, t model.Tick) {
 	c := &s.cores[ci]
-	w := float64(t-s.reqTick[ci]) + 1
-	c.resp.record(w)
+	r := t - s.reqTick[ci] + 1
+	c.resp.record(float64(r))
+	if r > 1 {
+		s.noteMiss(r)
+	}
 	if s.obs != nil {
-		s.obs.OnServe(ci, s.orig(s.traces[ci][s.pos[ci]]), t, t-s.reqTick[ci]+1)
+		s.obs.OnServe(ci, s.orig(s.traces[ci][s.pos[ci]]), t, r)
 	}
 	if gap := t - c.lastServe; gap > c.maxGap {
 		c.maxGap = gap
 	}
 	c.lastServe = t
 	if s.hist != nil {
-		s.hist.Add(uint64(w))
+		s.hist.Add(uint64(r))
 	}
 	s.pos[ci]++
 	if s.pos[ci] == len(s.traces[ci]) {
@@ -958,6 +947,15 @@ func (s *Sim) Result() *Result {
 	return res
 }
 
+// Err returns a *TruncatedError, naming the tick cap and the cores left
+// unfinished, once the run has hit its tick cap; otherwise nil.
+func (s *Sim) Err() error {
+	if !s.truncd {
+		return nil
+	}
+	return &TruncatedError{Ticks: s.capT, Unfinished: len(s.cores) - s.doneN}
+}
+
 // Run builds a simulator and executes it to completion, returning its
 // Result. When the tick cap is hit, the partial Result is returned together
 // with a *TruncatedError.
@@ -968,9 +966,5 @@ func Run(cfg Config, traces [][]model.PageID) (*Result, error) {
 	}
 	for s.Step() {
 	}
-	res := s.Result()
-	if s.truncd {
-		return res, &TruncatedError{Ticks: s.capT, Unfinished: len(s.cores) - s.doneN}
-	}
-	return res, nil
+	return s.Result(), s.Err()
 }

@@ -182,6 +182,33 @@ func TestLivelockTruncates(t *testing.T) {
 	}
 }
 
+// TestErrNamesCapAndUnfinishedCores: a run truncated at its automatic cap
+// reports that cap, 8*(2+1) + 1024*(3+1+1) = 5144 ticks for this
+// workload, and counts only the cores with references left: the
+// empty-trace core finished at New, though its Completion is 0 like the
+// unfinished ones'.
+func TestErrNamesCapAndUnfinishedCores(t *testing.T) {
+	s, err := New(Config{HBMSlots: 1, Channels: 1}, traces([]int{}, []int{0}, []int{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err before the run = %v", err)
+	}
+	for s.Step() {
+	}
+	var te *TruncatedError
+	if !errors.As(s.Err(), &te) {
+		t.Fatalf("want *TruncatedError, got %v", s.Err())
+	}
+	if te.Ticks != 5144 || te.Unfinished != 2 {
+		t.Fatalf("truncation detail %+v, want the cap 5144 and 2 unfinished cores", te)
+	}
+	if res := s.Result(); !res.Truncated || res.Makespan != 0 {
+		t.Fatalf("partial result: %+v", res)
+	}
+}
+
 func TestEmptyTraces(t *testing.T) {
 	res := mustRun(t, Config{HBMSlots: 4, Channels: 1}, [][]model.PageID{nil, nil})
 	if res.Makespan != 0 || res.TotalRefs != 0 {

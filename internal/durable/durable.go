@@ -6,7 +6,8 @@
 //     rename, directory fsync. A crash leaves either the old bytes or
 //     the new ones at the path, never a torn mix. Checkpoints, served
 //     snapshots, result-cache entries, flight-recorder dumps, the
-//     address file and the canonical sweep journal are written this way.
+//     address file, the canonical sweep journal and saved workloads
+//     are written this way.
 //   - Log is an append-only file of newline-terminated records, each
 //     fsynced before Append returns. The sweep journal and the service
 //     manifest are Logs.

@@ -113,19 +113,20 @@ func (h *Histogram) Observe(v float64) {
 	h.addSum(v)
 }
 
-// ObserveN records n observations of the value v in one update: the
-// bucket and the count grow by n, the sum by v*n. For integer-valued
+// AddBuckets records a batch of observations in one update: counts[i]
+// more in bucket i, where entries past the last bound add to the +Inf
+// bucket, and sum added to the running sum. For integer-valued
 // observations whose running sum stays below 2^53 every partial sum is
-// an exactly representable float64, so the result is bit-identical to n
-// Observe(v) calls in any interleaving with other observations.
-func (h *Histogram) ObserveN(v float64, n uint64) {
-	if n == 0 {
-		return
+// an exactly representable float64, so the result is bit-identical to
+// Observing each value, in any interleaving with other observations.
+func (h *Histogram) AddBuckets(counts []uint64, sum float64) {
+	var n uint64
+	for i, c := range counts {
+		h.counts[min(i, len(h.bounds))].Add(c)
+		n += c
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(n)
 	h.count.Add(n)
-	h.addSum(v * float64(n))
+	h.addSum(sum)
 }
 
 // addSum adds d to the running sum with a CAS loop.

@@ -58,10 +58,10 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestHistogramObserveN: n observations of one integer value in one
-// call are bit-identical to n Observe calls, interleaved with other
-// observations in any order; n == 0 records nothing.
-func TestHistogramObserveN(t *testing.T) {
+// TestHistogramAddBuckets: a batch of integer observations added by
+// bucket is bit-identical to Observing each one, interleaved with other
+// observations in any order; an empty batch records nothing.
+func TestHistogramAddBuckets(t *testing.T) {
 	bounds := []float64{1, 2, 4}
 	one, batched := NewHistogram(bounds), NewHistogram(bounds)
 	for _, v := range []float64{3, 1, 7} {
@@ -72,13 +72,14 @@ func TestHistogramObserveN(t *testing.T) {
 	}
 	one.Observe(0)
 	one.Observe(0)
+	one.Observe(9)
 
-	batched.ObserveN(1, 1000)
-	batched.ObserveN(5, 0)
+	batched.AddBuckets([]uint64{1000, 0, 0, 0}, 1000)
+	batched.AddBuckets([]uint64{0, 0, 0, 0}, 0)
 	for _, v := range []float64{7, 3, 1} {
 		batched.Observe(v)
 	}
-	batched.ObserveN(0, 2)
+	batched.AddBuckets([]uint64{2, 0, 0, 0, 0, 1}, 9) // past the last bound: +Inf
 
 	if one.Count() != batched.Count() || one.Sum() != batched.Sum() {
 		t.Fatalf("count/sum = %d/%g, want %d/%g", batched.Count(), batched.Sum(), one.Count(), one.Sum())

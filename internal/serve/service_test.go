@@ -308,6 +308,30 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
+// TestTruncatedJobNamesTheCap: two cores contending for one HBM slot
+// livelock (DESIGN.md §4) until the automatic tick cap, 8*(8+1) +
+// 1024*(2+1+1) = 4168 ticks for this workload. The failed job's error
+// names that cap, not the spec's max_ticks of 0, and counts the cores
+// left unfinished.
+func TestTruncatedJobNamesTheCap(t *testing.T) {
+	s := openTestService(t, t.TempDir(), nil)
+	defer s.Close()
+	v, err := s.Submit(Spec{
+		Kind:     KindSim,
+		Name:     "livelock",
+		Workload: &WorkloadSpec{Gen: "uniform", Cores: 2, Size: 4, Seed: 1},
+		Config:   &ConfigSpec{HBMSlots: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, s, v.ID, StateFailed)
+	const want = "simulation truncated at tick 4168 with 2 unfinished cores"
+	if !strings.Contains(got.Error, want) {
+		t.Fatalf("error %q should contain %q", got.Error, want)
+	}
+}
+
 func TestWorkerPanicIsolation(t *testing.T) {
 	first := true
 	s := openTestService(t, t.TempDir(), func(o *Options) {

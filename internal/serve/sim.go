@@ -91,11 +91,7 @@ func (s *Service) runSim(ctx context.Context, j *job) (*Payload, error) {
 		}
 	}
 	prog.flush(prog.total, true)
-	res := sim.Result()
-	if res.Truncated {
-		return &Payload{Sim: res}, fmt.Errorf("simulation truncated at max_ticks=%d before all cores finished", cfg.MaxTicks)
-	}
-	return &Payload{Sim: res}, nil
+	return &Payload{Sim: sim.Result()}, sim.Err()
 }
 
 // buildSim constructs the job's simulator, resuming from its snapshot

@@ -3,8 +3,10 @@ package tracing
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 )
 
 // OTLPWriter streams finished spans as OTLP-compatible JSON lines: one
@@ -24,6 +26,18 @@ type OTLPWriter struct {
 // Close flushes but does not close it.
 func NewOTLPWriter(w io.Writer) *OTLPWriter {
 	return &OTLPWriter{bw: bufio.NewWriterSize(w, 1<<16)}
+}
+
+// OpenOTLPFile opens path for appending, creating it if needed, and
+// returns an exporter writing to it (the CLIs' -trace-file) and a close
+// function that flushes the exporter and then closes the file.
+func OpenOTLPFile(path string) (*OTLPWriter, func() error, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	o := NewOTLPWriter(f)
+	return o, func() error { return errors.Join(o.Close(), f.Close()) }, nil
 }
 
 // otlpSpan is the wire shape of one span line.

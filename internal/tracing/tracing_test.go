@@ -247,6 +247,34 @@ func TestParseTraceparentMalformed(t *testing.T) {
 	}
 }
 
+// TestOpenOTLPFileAppends: a -trace-file keeps the spans of earlier runs
+// (each open appends), and the close function flushes and closes the
+// file.
+func TestOpenOTLPFileAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	for run := 0; run < 2; run++ {
+		ow, closeOTLP, err := OpenOTLPFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sp := New(Options{Exporters: []Exporter{ow}}).StartRoot(context.Background(), "test.run")
+		sp.End()
+		if err := closeOTLP(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\"name\":\"test.run\""); n != 2 {
+		t.Fatalf("file holds %d spans after two runs, want 2:\n%s", n, b)
+	}
+	if _, _, err := OpenOTLPFile(filepath.Join(t.TempDir(), "missing", "spans.jsonl")); err == nil {
+		t.Fatal("opened a file in a missing directory")
+	}
+}
+
 func TestOTLPWriterOutput(t *testing.T) {
 	var buf bytes.Buffer
 	ow := NewOTLPWriter(&buf)

@@ -22,16 +22,9 @@ type (
 	Observer = core.Observer
 	// NopObserver is an Observer with empty callbacks, for embedding.
 	NopObserver = core.NopObserver
-	// MultiObserver fans events out to several observers in attach order.
-	// It folds fast-forwarded stretches only when every member does.
+	// MultiObserver fans events out to several observers in attach order;
+	// a Meter inside it reads the simulator's counters instead.
 	MultiObserver = core.MultiObserver
-	// StretchObserver is an Observer that folds a fast-forwarded
-	// contention-free stretch in one OnStretch call instead of receiving
-	// its per-tick OnServe and OnTickEnd events, so attaching it keeps the
-	// simulator's batched path. Implement it on observers that only count
-	// (Meter does); any other observer makes the simulator replay every
-	// stretch tick by tick.
-	StretchObserver = core.StretchObserver
 
 	// Timeline collects windowed time series: per-window hit rate, queue
 	// depth, channel utilization, per-core serve counts, and Jain's
@@ -122,16 +115,16 @@ func NewOptTracker(reg *MetricsRegistry, cores, k, q int, window Tick) *OptTrack
 	return telemetry.NewOptTracker(reg, cores, k, q, window)
 }
 
-// Live metrics: Meter streams the simulator's hot-path activity into
-// atomic counters and histograms in a MetricsRegistry, safe to scrape from
-// another goroutine while the simulation runs (cmd/hbmsim's -http flag
-// serves such a registry on /metrics).
+// Live metrics: Meter publishes the simulator's counters into a
+// MetricsRegistry, safe to scrape from another goroutine while the
+// simulation runs (cmd/hbmsim's -http flag serves one on /metrics).
+// Values lag the run by up to 1024 ticks and are exact once it ends.
 type (
 	// MetricsRegistry is a named set of atomic counters, gauges, and
 	// fixed-bucket histograms with Prometheus-text and JSON exposition.
 	MetricsRegistry = metrics.Registry
-	// Meter is an Observer that mirrors simulation activity into a
-	// MetricsRegistry (hbmsim_ticks_total, hbmsim_serves_total, ...).
+	// Meter is an Observer that mirrors the simulator's counters, not its
+	// events, into a MetricsRegistry (hbmsim_ticks_total, ...).
 	Meter = telemetry.Meter
 )
 
