@@ -8,10 +8,12 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR13.json
+BENCH_OUT ?= BENCH_PR18.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
-# percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent.
+# percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
+# and on any change to the ticks/op or evictions/op a benchmark reports
+# in both snapshots (the simulator's work counts, exact on any host).
 # The limits are split because the metrics' noise profiles differ by an
 # order of magnitude: allocs/op is deterministic (same binary, same
 # count — any growth is a real regression), while ns/op on this class
@@ -23,7 +25,7 @@ BENCH_OUT ?= BENCH_PR13.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR12.json
+BENCH_BASE ?= BENCH_PR16.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -93,9 +95,10 @@ bench-json:
 	@echo "wrote $(BENCH_OUT)"
 
 # Cross-PR benchmark regression gate: per-benchmark ns/op and allocs/op
-# deltas between the committed baseline and the current snapshot; exits
-# non-zero when anything regressed past its threshold (see the
-# BENCH_THRESHOLD / BENCH_ALLOC_THRESHOLD comment above).
+# deltas and work counts between the committed baseline and the current
+# snapshot; exits non-zero when anything regressed past its threshold or
+# a work count drifted (see the BENCH_THRESHOLD / BENCH_ALLOC_THRESHOLD
+# comment above).
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCH_THRESHOLD) -alloc-threshold $(BENCH_ALLOC_THRESHOLD) $(BENCH_BASE) $(BENCH_OUT)
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 )
 
 // diffRow is the comparison of one benchmark across two reports.
@@ -24,6 +25,38 @@ type diffRow struct {
 	// NsRegressed / AllocRegressed mark which metric tripped the threshold.
 	NsRegressed    bool
 	AllocRegressed bool
+	// Counts lists the work counts both reports carry, as "unit old → new";
+	// Drifted names the gated ones that differ.
+	Counts  []string
+	Drifted []string
+}
+
+// gatedCounts are deterministic work counts a benchmark reports next to
+// ns/op. The same workload under the same configuration must do the same
+// work on any host and under any optimisation, so a change to either
+// between two snapshots that both carry it fails the diff whatever the
+// timings say. listedCounts are printed but not gated: they describe how
+// the simulator executed the run (ticks fast-forwarded or jumped, serves
+// cruised), which an optimisation may rightly change.
+var (
+	gatedCounts  = []string{"ticks/op", "evictions/op"}
+	listedCounts = []string{"ff_ticks/op", "cruised/op"}
+)
+
+// compareCounts fills r.Counts and r.Drifted from the extra metrics of
+// the old and new benchmark.
+func compareCounts(r *diffRow, ob, nb Benchmark) {
+	for i, unit := range append(append([]string{}, gatedCounts...), listedCounts...) {
+		o, okOld := ob.Extra[unit]
+		n, okNew := nb.Extra[unit]
+		if !okOld || !okNew {
+			continue
+		}
+		r.Counts = append(r.Counts, fmt.Sprintf("%s %.0f → %.0f", unit, o, n))
+		if i < len(gatedCounts) && o != n {
+			r.Drifted = append(r.Drifted, unit)
+		}
+	}
 }
 
 // pctChange returns the signed percent change from old to new, +Inf for a
@@ -50,7 +83,8 @@ type thresholds struct {
 
 // diffReports compares two reports benchmark by benchmark. A benchmark
 // regresses when ns/op grows by more than th.NsPct or allocs/op grows by
-// more than th.AllocPct over the old report. Benchmarks present in only
+// more than th.AllocPct over the old report, or when a gated work count
+// (gatedCounts) differs between them. Benchmarks present in only
 // one report are listed as added/removed but never count as regressions
 // (renames would otherwise block every refactor). The returned rows are
 // sorted by package then name; regressed reports whether any row
@@ -83,7 +117,8 @@ func diffReports(old, new *Report, th thresholds) (rows []diffRow, regressed boo
 		}
 		r.NsRegressed = r.NsPct > th.NsPct
 		r.AllocRegressed = r.AllocPct > th.AllocPct
-		if r.NsRegressed || r.AllocRegressed {
+		compareCounts(&r, ob, nb)
+		if r.NsRegressed || r.AllocRegressed || len(r.Drifted) > 0 {
 			r.Status = "regressed"
 			regressed = true
 		}
@@ -133,6 +168,12 @@ func writeDiff(w io.Writer, rows []diffRow, th thresholds) {
 			fmt.Fprintf(w, "%-60s %14.1f %14.1f %9s %12d %12d %9s%s\n",
 				name, r.OldNs, r.NewNs, fmtPct(r.NsPct),
 				r.OldAlloc, r.NewAlloc, fmtPct(r.AllocPct), mark)
+			if len(r.Counts) > 0 {
+				fmt.Fprintf(w, "    %s\n", strings.Join(r.Counts, ", "))
+			}
+			if len(r.Drifted) > 0 {
+				fmt.Fprintf(w, "    << COUNT DRIFT: %s\n", strings.Join(r.Drifted, ", "))
+			}
 		}
 	}
 	if th.NsPct == th.AllocPct {
@@ -141,6 +182,7 @@ func writeDiff(w io.Writer, rows []diffRow, th thresholds) {
 		fmt.Fprintf(w, "regression thresholds: +%.0f%% on ns/op, +%.0f%% on allocs/op\n",
 			th.NsPct, th.AllocPct)
 	}
+	fmt.Fprintf(w, "work counts gated exactly: %s\n", strings.Join(gatedCounts, ", "))
 }
 
 // readReport loads and validates a committed JSON report.

@@ -77,6 +77,54 @@ func TestDiffReportsStatuses(t *testing.T) {
 	}
 }
 
+// TestDiffReportsCountDrift pins the exact gate on work counts: a
+// gated count that differs between two snapshots that both carry it
+// fails the diff even when the timings improve, a listed count may
+// change freely, and a count only one side carries is not compared.
+func TestDiffReportsCountDrift(t *testing.T) {
+	withCounts := func(name string, ns float64, counts map[string]float64) Benchmark {
+		b := bench(name, ns, 10)
+		b.Extra = counts
+		return b
+	}
+	old := report(
+		withCounts("Same", 100, map[string]float64{"ticks/op": 5000, "evictions/op": 70, "ff_ticks/op": 900, "cruised/op": 0}),
+		withCounts("TicksDrift", 100, map[string]float64{"ticks/op": 5000, "evictions/op": 70}),
+		withCounts("EvictionsDrift", 100, map[string]float64{"ticks/op": 5000, "evictions/op": 70}),
+		withCounts("OneSided", 100, map[string]float64{"ticks/op": 5000}),
+	)
+	new := report(
+		withCounts("Same", 60, map[string]float64{"ticks/op": 5000, "evictions/op": 70, "ff_ticks/op": 12, "cruised/op": 4000}),
+		withCounts("TicksDrift", 60, map[string]float64{"ticks/op": 5001, "evictions/op": 70}),
+		withCounts("EvictionsDrift", 100, map[string]float64{"ticks/op": 5000, "evictions/op": 69}),
+		withCounts("OneSided", 100, nil),
+	)
+	rows, regressed := diffReports(old, new, both(50))
+	if !regressed {
+		t.Fatal("count drift not detected")
+	}
+	for name, want := range map[string]string{
+		"Same": "ok", "TicksDrift": "regressed", "EvictionsDrift": "regressed", "OneSided": "ok",
+	} {
+		if got := rowFor(t, rows, name).Status; got != want {
+			t.Errorf("%s: status %q, want %q", name, got, want)
+		}
+	}
+	if r := rowFor(t, rows, "TicksDrift"); len(r.Drifted) != 1 || r.Drifted[0] != "ticks/op" || r.NsRegressed {
+		t.Errorf("TicksDrift: flagged %v (ns regressed %v)", r.Drifted, r.NsRegressed)
+	}
+	if r := rowFor(t, rows, "Same"); len(r.Counts) != 4 || len(r.Drifted) != 0 {
+		t.Errorf("Same: counts %v, drifted %v", r.Counts, r.Drifted)
+	}
+	var out strings.Builder
+	writeDiff(&out, rows, both(50))
+	for _, want := range []string{"ff_ticks/op 900 → 12", "<< COUNT DRIFT: evictions/op"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("diff table lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestDiffReportsCleanRun(t *testing.T) {
 	old := report(bench("A", 100, 10), bench("B", 200, 0))
 	new := report(bench("A", 90, 10), bench("B", 210, 0))

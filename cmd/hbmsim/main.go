@@ -209,6 +209,7 @@ func main() {
 	}
 	tbl.AddRow("fast-forwarded ticks", rs.ffTicks)
 	tbl.AddRow("fast-forward stretches", rs.ffStretches)
+	tbl.AddRow("cruised serves", rs.cruised)
 	if err := tbl.Render(os.Stdout); err != nil {
 		fail(err)
 	}

@@ -50,11 +50,13 @@ type telemetryOptions struct {
 const refreshTicks = 1024
 
 // runStats carries execution telemetry that lives outside the Result:
-// wall-clock duration of the step loop and the fast-forward counters.
+// wall-clock duration of the step loop, the fast-forward counters and
+// the cruised serves.
 type runStats struct {
 	elapsed     time.Duration
 	ffTicks     uint64
 	ffStretches uint64
+	cruised     uint64
 }
 
 // collectors holds the attached telemetry consumers so their findings can
@@ -195,6 +197,7 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 	rs.elapsed = time.Since(start)
 	rs.ffTicks = sim.FastForwardedTicks()
 	rs.ffStretches = sim.FastForwardedStretches()
+	rs.cruised = sim.CruisedServes()
 	if opts.checkpointEvery > 0 {
 		// One final snapshot so a resume of a finished run reproduces its
 		// result without re-simulating.

@@ -67,7 +67,36 @@ func benchRun(b *testing.B, cfg Config, ts [][]model.PageID, prep func(*Sim)) {
 	b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 	b.ReportMetric(float64(s.Tick()), "ticks/op")
 	b.ReportMetric(float64(s.FastForwardedTicks()), "ff_ticks/op")
+	b.ReportMetric(float64(s.counters().Cruised), "cruised/op")
 	b.ReportMetric(float64(res.Evictions), "evictions/op")
+}
+
+// BenchmarkSimPaper runs the paper's contended shapes that bench/'s
+// sim-paper workload times end to end: SpGEMM (p=32, N=96) and sort
+// (p=32, N=8000) at k=1000, q=1, LRU, under FIFO and Dynamic Priority,
+// seed 1. Generation is outside the timer; core.New is inside.
+func BenchmarkSimPaper(b *testing.B) {
+	for _, shape := range []workloads.Spec{
+		{Gen: "spgemm", Cores: 32, Size: 96, Seed: 1},
+		{Gen: "sort", Cores: 32, Size: 8000, Seed: 1},
+	} {
+		wl, err := shape.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"fifo", Config{HBMSlots: 1000, Channels: 1, Seed: 1}},
+			{"dynamic-priority", Config{HBMSlots: 1000, Channels: 1, Arbiter: arbiter.Priority,
+				Permuter: arbiter.Dynamic, RemapPeriod: 10000, Seed: 1}},
+		} {
+			b.Run(shape.Gen+"/"+c.name, func(b *testing.B) {
+				benchRun(b, c.cfg, wl.Raw(), nil)
+			})
+		}
+	}
 }
 
 // benchSim measures simulator throughput on the contended benchWorkload.

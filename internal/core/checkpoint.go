@@ -205,6 +205,8 @@ func (s *Sim) Checkpoint(wr io.Writer) error {
 	if !ok {
 		return fmt.Errorf("core: arbiter %T does not support checkpointing", s.arb)
 	}
+	s.flush(s.tick + 1)
+	s.settle()
 
 	w := snap.NewWriter(wr)
 	w.Raw(snapMagic[:])
@@ -241,8 +243,9 @@ func (s *Sim) Checkpoint(wr io.Writer) error {
 	}
 
 	w.Tag(tagActive)
-	w.Int(len(s.active))
-	for _, ci := range s.active {
+	active := s.activeSet()
+	w.Int(len(active))
+	for _, ci := range active {
 		w.U64(uint64(ci))
 	}
 

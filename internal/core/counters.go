@@ -20,8 +20,11 @@ type Counters struct {
 	// Far-channel grants, landed transfers, pages evicted from HBM, and
 	// priority re-draws.
 	Grants, Fetches, Evictions, Remaps uint64
-	// Ticks and stretches batched by the fast-forward path.
+	// Ticks and stretches batched by the fast-forward path; in a
+	// cruising run (see Sim.Step), the ticks jumped and the jumps.
 	FFTicks, FFStretches uint64
+	// Serves folded by cruising cores rather than stepped one by one.
+	Cruised uint64
 	// End-of-tick DRAM-queue depth, once per tick; each grant's ticks in
 	// the queue since its core requested the page; each serve's response
 	// time.
@@ -51,7 +54,10 @@ func bucket(v uint64) int {
 // step loop fills, from the Sim's own counts less those at s.base.
 func (s *Sim) counters() *Counters {
 	c, b := &s.led, &s.base
-	var serves, hits uint64
+	// Running cruises' serves are not folded yet: count them from the
+	// implicit cursors, leaving the Sim as it is.
+	cruising := s.cruisedSoFar()
+	serves, hits := cruising, cruising
 	for i := range s.cores {
 		serves += uint64(s.pos[i])
 		hits += s.cores[i].resp.hits
@@ -61,6 +67,7 @@ func (s *Sim) counters() *Counters {
 	c.Queued, c.Fetches = s.seq-b.Queued, s.fetches-b.Fetches
 	c.Evictions, c.Remaps = s.evictions-b.Evictions, s.remaps-b.Remaps
 	c.FFTicks, c.FFStretches = s.ffTicks, s.ffStretches
+	c.Cruised = s.cruised + cruising
 	c.QueueDepth.Sum = s.queueSum - b.QueueDepth.Sum
 	// Responses of 2 or more are bucketed as they are served; the hits
 	// make up the first bucket.

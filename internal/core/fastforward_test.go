@@ -345,9 +345,10 @@ func FuzzFastForwardDifferential(f *testing.F) {
 		diffLines(t, "fast-forward", ffRec.lines, plainRec.lines)
 
 		// A third simulator carries only a counter observer, so it runs
-		// with no event observer, as a metered run does. All three leave
-		// the ledger the per-tick event stream adds up to; only the
-		// fast-forward counters tell the steppers apart.
+		// with no event observer, as a metered run does, and cruises. All
+		// three leave the ledger the per-tick event stream adds up to;
+		// only the fast-forward and cruise counters tell the steppers
+		// apart, and each must match its own Sim's.
 		counted, err := New(cfg, ts)
 		if err != nil {
 			t.Fatal(err)
@@ -363,18 +364,26 @@ func FuzzFastForwardDifferential(f *testing.F) {
 		for name, got := range map[string]Counters{
 			"fast-forward": *ff.counters(), "per-tick": *plain.counters(), "pushed": cc.pushes[len(cc.pushes)-1],
 		} {
-			wantFF := ff.ffTicks
-			if name == "per-tick" {
+			wantFF, wantCruised := ff.ffTicks, uint64(0)
+			switch name {
+			case "per-tick":
 				wantFF = 0
+			case "pushed":
+				wantFF, wantCruised = counted.ffTicks, counted.cruised
 			}
-			if got.FFTicks != wantFF {
-				t.Fatalf("cfg %+v: %s ledger has %d ff ticks, want %d", cfg, name, got.FFTicks, wantFF)
+			if got.FFTicks != wantFF || got.Cruised != wantCruised {
+				t.Fatalf("cfg %+v: %s ledger has %d ff ticks and %d cruised serves, want %d and %d",
+					cfg, name, got.FFTicks, got.Cruised, wantFF, wantCruised)
 			}
-			got.FFTicks, got.FFStretches = 0, 0
+			got.FFTicks, got.FFStretches, got.Cruised = 0, 0, 0
 			if got != want {
 				t.Fatalf("cfg %+v: %s ledger\n%+v\nper-tick events add up to\n%+v", cfg, name, got, want)
 			}
 		}
+
+		// The cruising simulator against the per-tick one, checkpointed
+		// every few ticks: Results, Tick(), ledgers and every snapshot.
+		checkCruise(t, cfg, ts, model.Tick(1+rng.Intn(16)))
 	})
 }
 
@@ -491,7 +500,7 @@ func TestSetObserverSplitsCounterObservers(t *testing.T) {
 					t.Fatal("a counter observer never received the ledger")
 				}
 				got := c.pushes[len(c.pushes)-1]
-				got.FFTicks, got.FFStretches = 0, 0
+				got.FFTicks, got.FFStretches, got.Cruised = 0, 0, 0
 				if got != want {
 					t.Fatalf("final ledger\n%+v\nper-tick events add up to\n%+v", got, want)
 				}
@@ -580,11 +589,12 @@ func TestLedgerCountsFromResume(t *testing.T) {
 	for resumed.Step() {
 	}
 	got := *resumed.counters()
-	// The attempt hold-off and the scan caches are not checkpointed, so
-	// the two runs may batch different stretches after the checkpoint.
-	got.FFTicks, got.FFStretches = 0, 0
+	// The attempt hold-off, the scan caches and the cruises are not
+	// checkpointed, so the two runs may batch different stretches and
+	// cruise differently after the checkpoint.
+	got.FFTicks, got.FFStretches, got.Cruised = 0, 0, 0
 	want := after
-	want.FFTicks, want.FFStretches = 0, 0
+	want.FFTicks, want.FFStretches, want.Cruised = 0, 0, 0
 	for _, f := range []struct{ w, b *uint64 }{
 		{&want.Ticks, &before.Ticks}, {&want.Serves, &before.Serves}, {&want.Hits, &before.Hits},
 		{&want.Queued, &before.Queued}, {&want.Grants, &before.Grants}, {&want.Fetches, &before.Fetches},

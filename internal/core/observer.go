@@ -146,6 +146,10 @@ func (s *Sim) SetObserver(o Observer) {
 	} else if len(events.obs) > 1 {
 		s.obs = events
 	}
+	if s.obs != nil && s.cruise {
+		// Events come tick by tick from every core: cruise no more.
+		s.disengage()
+	}
 	s.nextPush = (s.tick/counterTicks + 1) * counterTicks
 }
 

@@ -158,6 +158,8 @@ type Sim struct {
 	missSum   uint64
 	cobs      []CounterObserver
 	nextPush  model.Tick
+
+	cruiseState
 }
 
 // New builds a simulator for the given per-core reference sequences.
@@ -260,9 +262,10 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 	// three-index caps keep a future append from clobbering the sibling);
 	// construction stays a handful of allocations even with the
 	// fast-forward scan caches.
-	intBuf := make([]int, 2*p)
+	intBuf := make([]int, 3*p)
 	boolBuf := make([]bool, 2*p)
 	i32Buf := make([]int32, p+u)
+	tickBuf := make([]model.Tick, 3*p)
 	s := &Sim{
 		cfg:        cfg,
 		store:      store,
@@ -271,8 +274,8 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 		cores:      make([]coreState, p),
 		traces:     traces,
 		pos:        intBuf[:p:p],
-		scanTo:     intBuf[p:],
-		reqTick:    make([]model.Tick, p),
+		scanTo:     intBuf[p : 2*p : 2*p],
+		reqTick:    tickBuf[:p:p],
 		queued:     boolBuf[:p:p],
 		scanMiss:   boolBuf[p:],
 		pri:        i32Buf[:p:p],
@@ -331,7 +334,7 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 		}
 		u64Buf := make([]uint64, u+p)
 		s.pageGen = u64Buf[:u:u]
-		s.scanGen = u64Buf[u:]
+		s.scanGen = u64Buf[u : u+p : u+p]
 		s.batchT, _ = store.(hbm.BatchToucher)
 		// Touch is a no-op exactly when no recency or clairvoyant state
 		// exists to update: direct-mapped slots, FIFO insertion order,
@@ -339,6 +342,7 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 		// touches, so their stretches replay batched Touches instead.
 		s.touchNop = cfg.Mapping == MappingDirect ||
 			cfg.Replacement == replacement.FIFO || cfg.Replacement == replacement.Random
+		s.initCruise(intBuf[2*p:], tickBuf[p:])
 	} else {
 		s.noFF = true
 	}
@@ -361,7 +365,7 @@ func (s *Sim) Remaining() int {
 	for i := range s.traces {
 		n += len(s.traces[i]) - s.pos[i]
 	}
-	return n
+	return n - int(s.cruisedSoFar())
 }
 
 // SetBoundary declares the caller's observation cadence: Step will never
@@ -372,13 +376,18 @@ func (s *Sim) Remaining() int {
 // single-tick stepping. Zero (the default) removes the constraint.
 func (s *Sim) SetBoundary(every model.Tick) { s.boundary = every }
 
-// FastForwardedTicks returns the ticks the fast-forward path batched:
-// the ledger's FFTicks (see Counters), counted from New or Resume.
+// FastForwardedTicks returns the ticks the fast-forward path batched,
+// or in a cruising run the ticks it jumped: the ledger's FFTicks (see
+// Counters), counted from New or Resume.
 func (s *Sim) FastForwardedTicks() uint64 { return s.ffTicks }
 
 // FastForwardedStretches returns the number of contention-free stretches
-// the fast-forward path batched.
+// the fast-forward path batched, or in a cruising run its jumps.
 func (s *Sim) FastForwardedStretches() uint64 { return s.ffStretches }
+
+// CruisedServes returns the serves folded by cruising cores rather than
+// stepped one by one: the ledger's Cruised, counted from New or Resume.
+func (s *Sim) CruisedServes() uint64 { return s.cruised + s.cruisedSoFar() }
 
 // Step advances the simulation and reports whether it should continue
 // (false once all cores are done or the tick cap is hit). One call
@@ -386,12 +395,21 @@ func (s *Sim) FastForwardedStretches() uint64 { return s.ffStretches }
 // transfer completes before the stretch ends, Step instead
 // fast-forwards the whole contention-free stretch in one call (see
 // fastForward) with bit-identical Results, snapshots, and Observer
-// event streams.
+// event streams. With no event observer attached, Step cruises instead
+// (see stepCruise): each tick handles only the cores something happens
+// to, and a tick with nothing due jumps ahead, with bit-identical
+// Results and snapshots.
 func (s *Sim) Step() bool {
 	if s.Done() || s.truncd || s.tick >= s.capT {
 		s.truncd = !s.Done() // true once the tick cap is hit
 		s.pushCounters(true)
 		return false
+	}
+	if s.cruise {
+		if !s.noFF {
+			return s.stepCruise()
+		}
+		s.disengage()
 	}
 
 	// Fast path: with no queued request, residency is static — step 2
@@ -424,40 +442,10 @@ func (s *Sim) Step() bool {
 
 	// Step 1: remap priorities.
 	if s.cfg.RemapPeriod > 0 && t%s.cfg.RemapPeriod == 0 {
-		if s.obs != nil {
-			if s.priOld == nil {
-				s.priOld = make([]int32, len(s.pri))
-			}
-			copy(s.priOld, s.pri)
-		}
-		s.perm.Permute(s.pri)
-		s.arb.UpdatePriorities(s.pri)
-		s.remaps++
-		if s.obs != nil {
-			s.obs.OnRemap(t, s.priOld, s.pri)
-		}
+		s.remap(t)
 	}
 
-	// Step 2: queue non-resident requests; collect resident candidates.
-	// Cores are processed in index order, exactly as the reference loop
-	// iterates "for each r*_i": the order fixes FIFO tie-breaking among
-	// same-tick arrivals and the LRU recency of same-tick touches. The
-	// active set is kept sorted across ticks (see the merge at the end of
-	// Step), so no per-tick sort is needed here.
-	s.candidates = s.candidates[:0]
-	for _, ci := range s.active {
-		page := s.traces[ci][s.pos[ci]]
-		if s.store.Contains(page) {
-			s.candidates = append(s.candidates, ci)
-		} else {
-			s.seq++
-			s.arb.Push(model.Request{Core: ci, Page: page, Issued: s.reqTick[ci], Seq: s.seq})
-			s.queued[ci] = true
-			if s.obs != nil {
-				s.obs.OnQueue(ci, s.orig(page), t)
-			}
-		}
-	}
+	s.request(t)
 
 	// Step 3: evict so this tick's landing fetches have room (associative
 	// stores only; direct-mapped stores evict on conflict at step 5
@@ -466,20 +454,11 @@ func (s *Sim) Step() bool {
 	// ones granted now, min(q, queueLen); otherwise the due in-flight
 	// arrivals (so this still "evicts up to q pages" as §3.1 prescribes).
 	need := s.backend.DueAt(t, s.arb.Len())
-	evictedAny := false
-	if evicted := s.store.EnsureRoom(need); len(evicted) > 0 {
-		evictedAny = true
-		s.evictions += uint64(len(evicted))
-		for _, pg := range evicted {
-			s.invalidateScan(pg)
-			if s.obs != nil {
-				s.obs.OnEvict(s.orig(pg), t)
-			}
-			if s.wbSink != nil {
-				s.wbSink.Writeback(t, pg, 0)
-			}
-		}
+	evicted := s.store.EnsureRoom(need)
+	for _, pg := range evicted {
+		s.evicted(pg, t, t)
 	}
+	evictedAny := len(evicted) > 0
 
 	// Step 4: serve every candidate whose page survived step 3. Pages
 	// only leave the store through EnsureRoom between steps 2 and 4
@@ -498,12 +477,16 @@ func (s *Sim) Step() bool {
 				continue
 			}
 			s.store.Touch(page)
-			s.serve(ci, t)
+			if s.serve(ci, t) {
+				s.nextActive = append(s.nextActive, ci)
+			}
 		}
 	} else {
 		for _, ci := range s.candidates {
 			s.store.Touch(s.traces[ci][s.pos[ci]])
-			s.serve(ci, t)
+			if s.serve(ci, t) {
+				s.nextActive = append(s.nextActive, ci)
+			}
 		}
 	}
 
@@ -512,6 +495,104 @@ func (s *Sim) Step() bool {
 	// backend only offers its free channels) — then land every transfer
 	// the backend completes now (immediately, for the model's unit
 	// latency).
+	granted := s.grant(t)
+	landStart := len(s.nextActive)
+	s.land(t)
+
+	s.endTick(t, granted)
+	s.rebuildActive(landStart)
+	return s.more()
+}
+
+// request is step 2: queue the active cores whose current page is not
+// resident and collect the others as candidates. Cores are processed in
+// index order, exactly as the reference loop iterates "for each r*_i":
+// the order fixes FIFO tie-breaking among same-tick arrivals and the LRU
+// recency of same-tick touches. The active set is kept sorted across
+// ticks (see rebuildActive), so no per-tick sort is needed here.
+func (s *Sim) request(t model.Tick) {
+	s.candidates = s.candidates[:0]
+	for _, ci := range s.active {
+		page := s.traces[ci][s.pos[ci]]
+		if s.store.Contains(page) {
+			s.candidates = append(s.candidates, ci)
+		} else {
+			s.seq++
+			s.arb.Push(model.Request{Core: ci, Page: page, Issued: s.reqTick[ci], Seq: s.seq})
+			s.queued[ci] = true
+			if s.obs != nil {
+				s.obs.OnQueue(ci, s.orig(page), t)
+			}
+		}
+	}
+}
+
+// evicted accounts for page pg leaving HBM at tick t; next is the first
+// tick whose serve the eviction can still prevent (see cut).
+func (s *Sim) evicted(pg model.PageID, t, next model.Tick) {
+	s.evictions++
+	s.invalidateScan(pg)
+	if s.cruise {
+		s.cut(pg, next)
+	}
+	if s.obs != nil {
+		s.obs.OnEvict(s.orig(pg), t)
+	}
+	if s.wbSink != nil {
+		s.wbSink.Writeback(t, pg, 0)
+	}
+}
+
+// land is step 5's second half: insert every transfer the backend
+// completes at tick t and queue its core for the next tick.
+func (s *Sim) land(t model.Tick) {
+	s.landBuf = s.backend.Drain(t, s.landBuf[:0])
+	for i, a := range s.landBuf {
+		if victim, displaced, err := s.store.Insert(a.Page); err != nil {
+			// Step 3 guaranteed room for every due arrival; this is
+			// unreachable unless an invariant is broken.
+			panic(fmt.Sprintf("core: fetch failed at tick %d: %v", t, err))
+		} else if displaced {
+			s.evicted(victim, t, t+1)
+		}
+		if s.keyed {
+			s.noteEager(a.Page, s.key(t, len(s.cores)+i))
+		}
+		s.fetches++
+		if s.obs != nil {
+			s.obs.OnFetch(a.Core, s.orig(a.Page), t)
+		}
+		s.queued[a.Core] = false
+		if s.scanTo[a.Core] >= 0 {
+			// The landed page is the core's own current reference (the
+			// one the scan stopped on), so its cached run is stale:
+			// force a fresh rescan on the next fast-forward attempt.
+			s.scanTo[a.Core] = -1
+			s.scansLive--
+		}
+		s.nextActive = append(s.nextActive, a.Core)
+	}
+}
+
+// remap is step 1 on a remap tick: re-draw the priority permutation.
+func (s *Sim) remap(t model.Tick) {
+	if s.obs != nil {
+		if s.priOld == nil {
+			s.priOld = make([]int32, len(s.pri))
+		}
+		copy(s.priOld, s.pri)
+	}
+	s.perm.Permute(s.pri)
+	s.arb.UpdatePriorities(s.pri)
+	s.remaps++
+	if s.obs != nil {
+		s.obs.OnRemap(t, s.priOld, s.pri)
+	}
+}
+
+// grant is step 5's first half: grant queued requests a far channel, as
+// many as the backend admits at tick t, and return how many it granted.
+func (s *Sim) grant(t model.Tick) int {
 	granted := 0
 	limit := s.backend.GrantLimit(t)
 	for i := 0; i < limit; i++ {
@@ -528,38 +609,11 @@ func (s *Sim) Step() bool {
 		}
 		s.backend.Start(t, membackend.Transfer{Core: r.Core, Page: r.Page})
 	}
-	landStart := len(s.nextActive)
-	s.landBuf = s.backend.Drain(t, s.landBuf[:0])
-	for _, a := range s.landBuf {
-		if victim, displaced, err := s.store.Insert(a.Page); err != nil {
-			// Step 3 guaranteed room for every due arrival; this is
-			// unreachable unless an invariant is broken.
-			panic(fmt.Sprintf("core: fetch failed at tick %d: %v", t, err))
-		} else if displaced {
-			s.evictions++
-			s.invalidateScan(victim)
-			if s.obs != nil {
-				s.obs.OnEvict(s.orig(victim), t)
-			}
-			if s.wbSink != nil {
-				s.wbSink.Writeback(t, victim, 0)
-			}
-		}
-		s.fetches++
-		if s.obs != nil {
-			s.obs.OnFetch(a.Core, s.orig(a.Page), t)
-		}
-		s.queued[a.Core] = false
-		if s.scanTo[a.Core] >= 0 {
-			// The landed page is the core's own current reference (the
-			// one the scan stopped on), so its cached run is stale:
-			// force a fresh rescan on the next fast-forward attempt.
-			s.scanTo[a.Core] = -1
-			s.scansLive--
-		}
-		s.nextActive = append(s.nextActive, a.Core)
-	}
+	return granted
+}
 
+// endTick samples the end-of-tick queue depth and grant count.
+func (s *Sim) endTick(t model.Tick, granted int) {
 	depth := s.arb.Len()
 	s.queueSum += uint64(depth)
 	s.queueTicks++
@@ -568,13 +622,15 @@ func (s *Sim) Step() bool {
 	if s.obs != nil {
 		s.obs.OnTickEnd(t, depth, granted)
 	}
+}
 
-	// Rebuild the next tick's active set in ascending core order without
-	// a full sort: s.nextActive[:landStart] (step-4 requeues and serves)
-	// was appended in ascending order, and the landed tail is small (at
-	// most the due arrivals), so insertion-sort the tail and merge the
-	// two runs into the retired active buffer.
-	a, tail := s.nextActive[:landStart], s.nextActive[landStart:]
+// rebuildActive builds the next tick's active set in ascending core
+// order without a full sort: s.nextActive[:sorted] (step-4 requeues and
+// serves) was appended in ascending order, and the tail (landed cores,
+// and cores whose cruise ended) is small, so insertion-sort the tail and
+// merge the two runs into the retired active buffer.
+func (s *Sim) rebuildActive(sorted int) {
+	a, tail := s.nextActive[:sorted], s.nextActive[sorted:]
 	for i := 1; i < len(tail); i++ {
 		v := tail[i]
 		j := i - 1
@@ -598,7 +654,6 @@ func (s *Sim) Step() bool {
 	dst = append(dst, a[i:]...)
 	dst = append(dst, tail[j:]...)
 	s.active = dst
-	return s.more()
 }
 
 // Attempt hold-off tuning (see the ffHold field). A stretch under
@@ -678,20 +733,21 @@ func (s *Sim) hitRun(ci model.CoreID, lim int) int {
 		s.scanGen[ci]++
 	}
 	if !s.scanMiss[ci] {
-		end := pos + lim
-		if end > len(tr) {
-			end = len(tr)
+		end := min(pos+lim, len(tr))
+		gen := s.scanGen[ci]
+		// A reference to the page just verified needs no second look.
+		prev := ^model.PageID(0)
+		if to > pos {
+			prev = tr[to-1]
 		}
-		if to < end {
-			gen := s.scanGen[ci]
-			for to < end {
-				pg := tr[to]
+		for ; to < end; to++ {
+			if pg := tr[to]; pg != prev {
 				if !s.store.Contains(pg) {
 					s.scanMiss[ci] = true
 					break
 				}
 				s.pageGen[pg] = gen
-				to++
+				prev = pg
 			}
 		}
 	}
@@ -871,8 +927,8 @@ func (s *Sim) orig(p model.PageID) model.PageID {
 }
 
 // serve records the serve of core ci's current reference at tick t and
-// advances the core.
-func (s *Sim) serve(ci model.CoreID, t model.Tick) {
+// advances the core, reporting whether the core has references left.
+func (s *Sim) serve(ci model.CoreID, t model.Tick) bool {
 	c := &s.cores[ci]
 	r := t - s.reqTick[ci] + 1
 	c.resp.record(float64(r))
@@ -889,23 +945,24 @@ func (s *Sim) serve(ci model.CoreID, t model.Tick) {
 	if s.hist != nil {
 		s.hist.Add(uint64(r))
 	}
+	if t > s.makespan {
+		s.makespan = t
+	}
 	s.pos[ci]++
 	if s.pos[ci] == len(s.traces[ci]) {
 		c.done = true
 		c.completion = t
 		s.doneN++
-	} else {
-		s.reqTick[ci] = t + 1
-		s.nextActive = append(s.nextActive, ci)
+		return false
 	}
-	if t > s.makespan {
-		s.makespan = t
-	}
+	s.reqTick[ci] = t + 1
+	return true
 }
 
 // Result summarises the run so far. It is typically called once Step has
 // returned false.
 func (s *Sim) Result() *Result {
+	s.settle()
 	res := &Result{
 		Makespan:  s.makespan,
 		Fetches:   s.fetches,

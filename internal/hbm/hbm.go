@@ -161,6 +161,14 @@ func (s *Assoc) Remove(page model.PageID) bool {
 	return true
 }
 
+// Recency returns the policy's recency list (head peek and ordered
+// relink) when it keeps one — the dense LRU and FIFO lists do — and nil
+// otherwise.
+func (s *Assoc) Recency() replacement.Recency {
+	r, _ := s.policy.(replacement.Recency)
+	return r
+}
+
 // PolicyKind returns the kind of the underlying replacement policy.
 func (s *Assoc) PolicyKind() replacement.Kind { return s.policy.Kind() }
 

@@ -13,7 +13,7 @@ import (
 // previous one, so live values lag the run by up to 1024 ticks (or one
 // fast-forwarded stretch) and are exact at run end.
 //
-// Registered series (all but the core_ff pair prefixed hbmsim_):
+// Registered series (all but the core_ series prefixed hbmsim_):
 //
 //	hbmsim_ticks_total        executed simulation ticks (rate() gives ticks/sec)
 //	hbmsim_serves_total       references served from HBM
@@ -26,8 +26,11 @@ import (
 //	hbmsim_queue_depth_refs   histogram of end-of-tick DRAM-queue depth
 //	hbmsim_response_ticks     histogram of per-reference response times
 //	hbmsim_grant_wait_ticks   histogram of ticks spent queued before a grant
-//	core_ff_ticks_total       ticks executed by the fast-forward path
-//	core_ff_stretches_total   stretches batched by the fast-forward path
+//	core_ff_ticks_total       ticks executed by the fast-forward path, or
+//	                          jumped by a cruising run
+//	core_ff_stretches_total   stretches batched by the fast-forward path,
+//	                          or jumps of a cruising run
+//	core_cruised_serves_total serves folded by cruising cores
 //
 // A Meter follows one simulation; Meters sharing a registry accumulate.
 type Meter struct {
@@ -36,7 +39,7 @@ type Meter struct {
 	ticks, serves, hits, misses     *metrics.Counter
 	fetches, evictions              *metrics.Counter
 	grants, remaps                  *metrics.Counter
-	ffTicks, ffStretches            *metrics.Counter
+	ffTicks, ffStretches, cruised   *metrics.Counter
 	queueDepth, response, grantWait *metrics.Histogram
 	last                            core.Counters // the ledger at the previous OnCounters
 }
@@ -56,8 +59,9 @@ func NewMeter(reg *metrics.Registry) *Meter {
 		evictions:   reg.Counter("hbmsim_evictions_total", "pages evicted from HBM"),
 		grants:      reg.Counter("hbmsim_grants_total", "far-channel grants issued"),
 		remaps:      reg.Counter("hbmsim_remaps_total", "priority permutation re-draws"),
-		ffTicks:     reg.Counter("core_ff_ticks_total", "simulation ticks executed by the core fast-forward path"),
-		ffStretches: reg.Counter("core_ff_stretches_total", "contention-free stretches batched by the core fast-forward path"),
+		ffTicks:     reg.Counter("core_ff_ticks_total", "simulation ticks executed by the core fast-forward path or jumped by a cruising run"),
+		ffStretches: reg.Counter("core_ff_stretches_total", "contention-free stretches batched by the core fast-forward path or jumps of a cruising run"),
+		cruised:     reg.Counter("core_cruised_serves_total", "serves folded by cruising cores instead of stepped tick by tick"),
 		queueDepth: reg.Histogram("hbmsim_queue_depth_refs", "end-of-tick DRAM queue depth in queued references",
 			metrics.ExpBuckets(1, 2, 12)), // 1..2048, +Inf
 		response: reg.Histogram("hbmsim_response_ticks", "per-reference response time in ticks",
@@ -86,6 +90,7 @@ func (m *Meter) OnCounters(c *core.Counters) {
 	m.remaps.Add(c.Remaps - l.Remaps)
 	m.ffTicks.Add(c.FFTicks - l.FFTicks)
 	m.ffStretches.Add(c.FFStretches - l.FFStretches)
+	m.cruised.Add(c.Cruised - l.Cruised)
 	addDist(m.queueDepth, &c.QueueDepth, &l.QueueDepth)
 	addDist(m.response, &c.Response, &l.Response)
 	addDist(m.grantWait, &c.GrantWait, &l.GrantWait)
