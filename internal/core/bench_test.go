@@ -186,8 +186,10 @@ func hitStretchWorkload(p, refsPerCore, span, period int) [][]model.PageID {
 	return ts
 }
 
-// BenchmarkSimHitStretch measures the fast-forward path on long pure-hit
-// runs under LRU (batched touches) across several core counts.
+// BenchmarkSimHitStretch measures long pure-hit runs under LRU across
+// several core counts. With no event observer every core cruises: its
+// serves fold in closed form, its LRU touches are deferred, and the
+// ticks with no active core are jumped.
 func BenchmarkSimHitStretch(b *testing.B) {
 	for _, p := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
@@ -197,19 +199,28 @@ func BenchmarkSimHitStretch(b *testing.B) {
 	}
 }
 
-// BenchmarkSimHitStretchFIFO is the same shape with a no-op Touch, where
-// a stretch folds without any policy replay at all.
+// BenchmarkSimHitStretchFIFO is the p=8 hit-stretch shape under FIFO,
+// whose Touch is a no-op, so the cruises defer no recency at all.
 func BenchmarkSimHitStretchFIFO(b *testing.B) {
 	ts := hitStretchWorkload(8, 65536, 48, 2048)
 	benchRun(b, Config{HBMSlots: 4096, Channels: 4, Replacement: replacement.FIFO}, ts, nil)
 }
 
-// BenchmarkSimHitStretchUnbatched is the p=8 hit-stretch shape with the
-// fast-forward path disabled: the committed baseline the batched
-// benchmarks above are compared against.
+// BenchmarkSimHitStretchUnbatched is the p=8 hit-stretch shape stepped
+// tick by tick, with neither fast-forward nor cruising: the baseline
+// the benchmarks above and below are compared against.
 func BenchmarkSimHitStretchUnbatched(b *testing.B) {
 	ts := hitStretchWorkload(8, 65536, 48, 2048)
 	benchRun(b, Config{HBMSlots: 4096, Channels: 4}, ts, func(s *Sim) { s.noFF = true })
+}
+
+// BenchmarkSimHitStretchObserved is the p=8 hit-stretch shape with an
+// event observer attached, as every event collector attaches one: the
+// run cannot cruise, so fastForward folds the contention-free stretches
+// and replays their touches and events tick by tick.
+func BenchmarkSimHitStretchObserved(b *testing.B) {
+	ts := hitStretchWorkload(8, 65536, 48, 2048)
+	benchRun(b, Config{HBMSlots: 4096, Channels: 4}, ts, func(s *Sim) { s.SetObserver(struct{ NopObserver }{}) })
 }
 
 // zipfianHotspotWorkload draws each core's refs from a Zipf distribution
