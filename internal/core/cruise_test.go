@@ -272,3 +272,123 @@ func TestCruiseReadsDoNotSettle(t *testing.T) {
 		t.Fatal("no tick had a running cruise")
 	}
 }
+
+// TestCruiseProbeOutcomes pins both outcomes of the engagement probe
+// (see decide) against the per-tick run, under LRU, FIFO arbitration
+// and two channels: a hit-heavy run keeps cruising past the probe, and
+// a run whose cruises are too short switches cruising off and goes back
+// to fast-forward, which then replays its stretches' LRU touches tick
+// by tick with no observer attached.
+func TestCruiseProbeOutcomes(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		k     int
+		ts    [][]model.PageID
+		keeps bool
+	}{
+		{"keeps", 32, hitHeavyWorkload(4, 90000, 5), true},
+		{"stops", 14, cruiseWorkload(4, 3000, 6, 3), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{HBMSlots: c.k, Channels: 2, Arbiter: arbiter.FIFO}
+			checkCruise(t, cfg, c.ts, 0)
+			s, err := New(cfg, c.ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := New(cfg, c.ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain.noFF = true
+			for !s.decided && s.Step() {
+			}
+			if !s.decided || s.attempts < cruiseProbe {
+				t.Fatalf("the probe never decided (%d attempts)", s.attempts)
+			}
+			if s.cruise != c.keeps {
+				t.Fatalf("after %d attempts: cruising %v, want %v", s.attempts, s.cruise, c.keeps)
+			}
+			// The decision leaves the state of the per-tick run.
+			for plain.Tick() < s.Tick() && plain.Step() {
+			}
+			var a, b bytes.Buffer
+			if err := s.Checkpoint(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := plain.Checkpoint(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("tick %d: checkpoint after the decision differs from the per-tick run's", s.Tick())
+			}
+			ff := s.FastForwardedTicks()
+			for s.Step() {
+			}
+			ff = s.FastForwardedTicks() - ff
+			if !s.decided || s.cruise != c.keeps {
+				t.Fatalf("run ended with decided %v, cruising %v; want decided, cruising %v", s.decided, s.cruise, c.keeps)
+			}
+			if !c.keeps && ff == 0 {
+				t.Fatal("nothing fast-forwarded after cruising stopped; the touch replay is untested")
+			}
+		})
+	}
+}
+
+// TestCruiseTrimFlush drives the recency logs past their backlog, so
+// trimLogs forces flushes, and compares each tick that forced one with
+// the per-tick run, checkpoint bytes included: a flush that ran ahead
+// of the tick's eager touches would leave the LRU list out of order.
+// Two cores cruise around 170 and 200 resident pages, so every cruise
+// end logs that many live deferred touches, and the core whose cruise
+// ended is served eagerly on the next tick while the other is still
+// cruising. HBM never fills, so no eviction flushes the logs first.
+func TestCruiseTrimFlush(t *testing.T) {
+	ts := [][]model.PageID{make([]model.PageID, 3000), make([]model.PageID, 3000)}
+	for i := range ts[0] {
+		ts[0][i] = model.PageID(i % 170)
+		ts[1][i] = model.PageID(1000 + i%200)
+	}
+	cfg := Config{HBMSlots: 1024, Channels: 1}
+	plain, err := New(cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.noFF = true
+	s, err := New(cfg, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced := 0
+	for {
+		fk := s.fk
+		if !s.Step() {
+			break
+		}
+		for plain.Tick() < s.Tick() && plain.Step() {
+		}
+		if s.fk == fk {
+			continue
+		}
+		forced++
+		var a, b bytes.Buffer
+		if err := s.Checkpoint(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Checkpoint(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("tick %d: checkpoint after a forced flush differs from the per-tick run's", s.Tick())
+		}
+	}
+	for plain.Step() {
+	}
+	if forced == 0 || s.evictions != 0 {
+		t.Fatalf("%d forced flushes, %d evictions; want some flushes and no evictions", forced, s.evictions)
+	}
+	if a, b := s.Result(), plain.Result(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("results diverge:\ncruising: %+v\nper-tick: %+v", a, b)
+	}
+}

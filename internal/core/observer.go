@@ -148,7 +148,7 @@ func (s *Sim) SetObserver(o Observer) {
 	}
 	if s.obs != nil && s.cruise {
 		// Events come tick by tick from every core: cruise no more.
-		s.disengage()
+		s.stopCruising()
 	}
 	s.nextPush = (s.tick/counterTicks + 1) * counterTicks
 }

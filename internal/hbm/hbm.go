@@ -53,24 +53,11 @@ type Store interface {
 	Kind() string
 }
 
-// BatchToucher is an optional Store capability: TouchAll(pages) must be
-// behaviourally identical to touching each page in order. All four store
-// implementations provide it; the simulator's fast-forward path uses it
-// to replay a contention-free stretch's recency updates in one call.
-type BatchToucher interface {
-	TouchAll(pages []model.PageID)
-}
-
 // Assoc is the fully-associative store.
 type Assoc struct {
 	capacity int
 	policy   replacement.Policy
 	scratch  []model.PageID
-
-	// batch caches the policy's BatchToucher assertion (nil when the
-	// policy has none); checked lazily on the first TouchAll.
-	batch        replacement.BatchToucher
-	batchChecked bool
 }
 
 // NewAssoc returns an empty fully-associative store with capacity k slots.
@@ -101,23 +88,6 @@ func (s *Assoc) Contains(page model.PageID) bool { return s.policy.Contains(page
 
 // Touch refreshes a resident page.
 func (s *Assoc) Touch(page model.PageID) { s.policy.Touch(page) }
-
-// TouchAll refreshes the pages in order, delegating to the policy's
-// batched entry point when it has one (all dense policies do) and
-// falling back to a Touch loop otherwise.
-func (s *Assoc) TouchAll(pages []model.PageID) {
-	if !s.batchChecked {
-		s.batch, _ = s.policy.(replacement.BatchToucher)
-		s.batchChecked = true
-	}
-	if s.batch != nil {
-		s.batch.TouchAll(pages)
-		return
-	}
-	for _, p := range pages {
-		s.policy.Touch(p)
-	}
-}
 
 // EnsureRoom evicts max(0, n - free) victims chosen by the replacement
 // policy and returns them. The returned slice aliases the store's

@@ -48,13 +48,6 @@ type denseList struct {
 	head     int32 // victim end; -1 when empty
 	tail     int32 // MRU end; -1 when empty
 	n        int
-
-	// TouchAll scratch (see batch.go): stamp[p] == stampGen marks page p
-	// as already collected in the current batch; both share one backing
-	// array, allocated lazily on the first batched touch.
-	stamp    []uint32
-	stampGen uint32
-	batch    []uint32
 }
 
 func newDenseList(touchMoves bool, universe int) *denseList {
