@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR19.json
+BENCH_OUT ?= BENCH_PR21.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
@@ -25,7 +25,7 @@ BENCH_OUT ?= BENCH_PR19.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR18.json
+BENCH_BASE ?= BENCH_PR19.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -40,10 +40,12 @@ SMOKE_FUZZTIME ?= 5s
 # layer operators debug production incidents with, plus the result cache
 # and the sweep-sharding coordinator the fleet's correctness rests on, plus
 # the far-memory backends every simulated transfer now flows through, plus
-# the durable-file package every crash-safe write goes through.
+# the durable-file package every crash-safe write goes through, plus the
+# HBM store, replacement policies and arbiters whose contracts the
+# kernel's differential tests rest on.
 COVER_OUT ?= coverage.out
 COVER_FLOOR ?= 70
-COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend hbmsim/internal/durable
+COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend hbmsim/internal/durable hbmsim/internal/hbm hbmsim/internal/replacement hbmsim/internal/arbiter
 
 .PHONY: all check build vet test test-short test-race e2e-multinode bench bench-json bench-diff cover profile fuzz fuzz-smoke docsmoke repro repro-full figures clean
 

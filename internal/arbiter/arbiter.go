@@ -48,8 +48,6 @@ type Arbiter interface {
 	Pop() (r model.Request, ok bool)
 	// Len returns the number of queued requests.
 	Len() int
-	// Kind returns the arbiter's kind.
-	Kind() Kind
 	// UpdatePriorities informs the arbiter that the priority permutation
 	// changed. pri[c] is the priority rank of core c: rank 0 is served
 	// first. FIFO and Random ignore it.

@@ -34,9 +34,6 @@ func TestKindsConstructAll(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%s): %v", k, err)
 		}
-		if a.Kind() != k {
-			t.Errorf("Kind(): got %s, want %s", a.Kind(), k)
-		}
 		if a.Len() != 0 {
 			t.Errorf("%s: new arbiter not empty", k)
 		}

@@ -34,8 +34,6 @@ func ringCap(n int) int {
 	return c
 }
 
-func (f *fifoArbiter) Kind() Kind { return FIFO }
-
 func (f *fifoArbiter) Len() int { return f.n }
 
 func (f *fifoArbiter) UpdatePriorities([]int32) {}

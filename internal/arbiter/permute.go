@@ -34,8 +34,6 @@ func PermuterKinds() []PermuterKind {
 type Permuter interface {
 	// Permute rewrites pri in place.
 	Permute(pri []int32)
-	// Kind returns the permuter's kind.
-	Kind() PermuterKind
 }
 
 // NewPermuter constructs a permuter of the given kind. The seed is used
@@ -69,8 +67,7 @@ func MustNewPermuter(kind PermuterKind, seed int64) Permuter {
 
 type staticPermuter struct{}
 
-func (staticPermuter) Kind() PermuterKind { return Static }
-func (staticPermuter) Permute([]int32)    {}
+func (staticPermuter) Permute([]int32) {}
 
 // dynamicPermuter draws from a counting detrand.Source so checkpoints
 // can record the permutation stream's position.
@@ -78,8 +75,6 @@ type dynamicPermuter struct {
 	src *detrand.Source
 	rng *rand.Rand
 }
-
-func (*dynamicPermuter) Kind() PermuterKind { return Dynamic }
 
 func (d *dynamicPermuter) Permute(pri []int32) {
 	// A fresh uniformly random permutation, independent of the current one
@@ -94,13 +89,6 @@ type cyclePermuter struct {
 	step int32
 }
 
-func (c cyclePermuter) Kind() PermuterKind {
-	if c.step > 0 {
-		return Cycle
-	}
-	return CycleReverse
-}
-
 func (c cyclePermuter) Permute(pri []int32) {
 	p := int32(len(pri))
 	if p == 0 {
@@ -112,8 +100,6 @@ func (c cyclePermuter) Permute(pri []int32) {
 }
 
 type interleavePermuter struct{}
-
-func (interleavePermuter) Kind() PermuterKind { return Interleave }
 
 // Permute riffle-shuffles the rank order: ranks from the top half map to
 // even ranks and ranks from the bottom half map to odd ranks, so cores that

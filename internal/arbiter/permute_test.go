@@ -41,12 +41,8 @@ func TestMustNewPermuterPanics(t *testing.T) {
 
 func TestPermuterKindsConstructAll(t *testing.T) {
 	for _, k := range PermuterKinds() {
-		p, err := NewPermuter(k, 1)
-		if err != nil {
+		if _, err := NewPermuter(k, 1); err != nil {
 			t.Fatalf("NewPermuter(%s): %v", k, err)
-		}
-		if p.Kind() != k {
-			t.Errorf("Kind(): got %s, want %s", p.Kind(), k)
 		}
 	}
 }

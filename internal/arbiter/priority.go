@@ -45,8 +45,6 @@ func newPriority(p int) *priorityArbiter {
 	}
 }
 
-func (a *priorityArbiter) Kind() Kind { return Priority }
-
 func (a *priorityArbiter) Len() int { return a.n }
 
 func (a *priorityArbiter) UpdatePriorities(pri []int32) {

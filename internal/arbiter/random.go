@@ -29,8 +29,6 @@ func newRandom(seed int64, p int) *randomArbiter {
 	return &randomArbiter{reqs: make([]model.Request, 0, p), p: p, src: src, rng: rand.New(src)}
 }
 
-func (a *randomArbiter) Kind() Kind { return Random }
-
 func (a *randomArbiter) Len() int { return len(a.reqs) }
 
 func (a *randomArbiter) UpdatePriorities([]int32) {}

@@ -194,9 +194,6 @@ func (s *Sim) fingerprint() uint64 {
 // attached Observer is not part of the state; re-attach one after
 // Resume.
 func (s *Sim) Checkpoint(wr io.Writer) error {
-	if s.universe < 0 {
-		return fmt.Errorf("core: uncompacted simulator does not support checkpointing")
-	}
 	storeSaver, ok := s.store.(snap.Saver)
 	if !ok {
 		return fmt.Errorf("core: store %T does not support checkpointing", s.store)

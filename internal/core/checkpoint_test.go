@@ -366,18 +366,3 @@ func TestResumeRejectsDamage(t *testing.T) {
 		}
 	})
 }
-
-// TestCheckpointUnsupportedOnUncompacted pins that the map-based
-// differential-testing path refuses to checkpoint rather than writing a
-// snapshot it cannot restore.
-func TestCheckpointUnsupportedOnUncompacted(t *testing.T) {
-	s, err := newUncompacted(Config{HBMSlots: 8, Channels: 1}, traces([]int{0, 1, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Step()
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err == nil {
-		t.Fatal("uncompacted simulator should refuse to checkpoint")
-	}
-}

@@ -151,7 +151,7 @@ func TestCompactTracesProperties(t *testing.T) {
 }
 
 // event materialises one observer callback for exact differential
-// comparison between the compacted and uncompacted simulators.
+// comparison between the simulator and the reference loop.
 type event struct {
 	kind        string
 	core        model.CoreID
@@ -191,8 +191,8 @@ func (l *eventLog) OnTickEnd(t model.Tick, depth, busy int) {
 // organisations, and every arbiter, a random sparse workload must
 // produce a bit-identical Result AND a bit-identical observer event
 // stream — same eviction sequence, same ticks, same original page IDs —
-// whether the simulator compacts the IDs (New) or runs the retained
-// map-based stores on the raw IDs (newUncompacted).
+// whether the simulator compacts the IDs (New) or the reference loop
+// runs the map-based stores on the raw IDs (RunReference).
 func TestCompactedEventStreamEquivalence(t *testing.T) {
 	policies := append(replacement.Kinds(), replacement.Belady)
 	rng := rand.New(rand.NewSource(17))
@@ -221,30 +221,27 @@ func TestCompactedEventStreamEquivalence(t *testing.T) {
 							MaxTicks:     200000,
 						}
 
-						run := func(mk func(Config, [][]model.PageID) (*Sim, error)) (*Result, []event) {
-							t.Helper()
-							s, err := mk(cfg, traces)
-							if err != nil {
-								t.Fatalf("round %d: %v", round, err)
-							}
-							log := &eventLog{}
-							s.SetObserver(log)
-							for s.Step() {
-							}
-							return s.Result(), log.events
+						s, err := New(cfg, traces)
+						if err != nil {
+							t.Fatalf("round %d: %v", round, err)
 						}
-						cRes, cEvents := run(New)
-						uRes, uEvents := run(newUncompacted)
+						cLog, uLog := &eventLog{}, &eventLog{}
+						s.SetObserver(cLog)
+						for s.Step() {
+						}
+						cRes, cErr := s.Result(), s.Err()
+						uRes, uErr := RunReference(cfg, traces, uLog)
+						cEvents, uEvents := cLog.events, uLog.events
 
-						if !reflect.DeepEqual(cRes, uRes) {
-							t.Fatalf("round %d: Results diverge:\ncompacted:   %+v\nuncompacted: %+v", round, cRes, uRes)
+						if !reflect.DeepEqual(cRes, uRes) || !reflect.DeepEqual(cErr, uErr) {
+							t.Fatalf("round %d: Results diverge:\ncompacted: %+v (%v)\nreference: %+v (%v)", round, cRes, cErr, uRes, uErr)
 						}
 						if len(cEvents) != len(uEvents) {
 							t.Fatalf("round %d: event counts diverge: %d vs %d", round, len(cEvents), len(uEvents))
 						}
 						for i := range cEvents {
 							if cEvents[i] != uEvents[i] {
-								t.Fatalf("round %d: event %d diverges:\ncompacted:   %+v\nuncompacted: %+v",
+								t.Fatalf("round %d: event %d diverges:\ncompacted: %+v\nreference: %+v",
 									round, i, cEvents[i], uEvents[i])
 							}
 						}

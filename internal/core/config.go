@@ -67,8 +67,9 @@ type Config struct {
 	// Seed drives all randomness (Dynamic permutation, Random policies).
 	Seed int64
 	// MaxTicks caps the run as a safety net; zero selects a generous
-	// automatic cap (several times the total reference count). A run that
-	// hits the cap returns a *TruncatedError.
+	// automatic cap (several times the total reference count, plus each
+	// reference's transfer time past one tick). A run that hits the cap
+	// returns a *TruncatedError.
 	MaxTicks model.Tick
 	// CollectHistogram additionally records a log-2 histogram of response
 	// times (costs one histogram update per serve).

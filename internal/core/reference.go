@@ -23,18 +23,25 @@ type arrival struct {
 
 // RunReference executes the same simulation as Run with a deliberately
 // naive implementation: every tick walks every core through the five steps
-// of §3.1 verbatim, with no event-driven bookkeeping. It exists as the
-// executable specification — Run's optimised active-set simulator must
-// produce bit-identical Results (see TestReferenceEquivalence) — and is
-// O(p) per tick, so use Run for real work. Only the paper's memory model
-// is implemented: configs selecting another backend are rejected.
-func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
+// of §3.1 verbatim over the map-based store and policies on the caller's
+// page IDs, with no compaction and no event-driven bookkeeping. It exists
+// as the executable specification — Run's optimised active-set simulator
+// must produce bit-identical Results and, to an attached observer, the
+// same event stream (see TestReferenceEquivalence and
+// TestCompactedEventStreamEquivalence) — and is O(p) per tick, so use Run
+// for real work. obs (nil for none) receives every event a Sim emits to
+// an event observer. Only the paper's memory model is implemented:
+// configs selecting another backend are rejected.
+func RunReference(cfg Config, traces [][]model.PageID, obs Observer) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(len(traces)); err != nil {
 		return nil, err
 	}
 	if k := cfg.Backend.WithDefaults().Kind; k != membackend.Reference {
 		return nil, fmt.Errorf("core: RunReference implements only the reference backend, not %q", k)
+	}
+	if obs == nil {
+		obs = NopObserver{}
 	}
 	var store hbm.Store
 	if cfg.Mapping == MappingDirect {
@@ -81,7 +88,7 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 	}
 	cores := make([]refCore, len(traces))
 	pri := make([]int32, len(traces))
-	var total uint64
+	priOld := make([]int32, len(traces))
 	doneN := 0
 	for i, tr := range traces {
 		pri[i] = int32(i)
@@ -90,12 +97,8 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 			cores[i].done = true
 			doneN++
 		}
-		total += uint64(len(tr))
 	}
-	capT := cfg.MaxTicks
-	if capT == 0 {
-		capT = 8*model.Tick(total+1) + 1024*model.Tick(len(traces)+cfg.HBMSlots+cfg.Channels)
-	}
+	capT := tickCap(cfg, traces)
 
 	var hist *stats.Histogram
 	if cfg.CollectHistogram {
@@ -126,9 +129,11 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 
 		// Step 1: remap.
 		if cfg.RemapPeriod > 0 && t%cfg.RemapPeriod == 0 {
+			copy(priOld, pri)
 			perm.Permute(pri)
 			arb.UpdatePriorities(pri)
 			remaps++
+			obs.OnRemap(t, priOld, pri)
 		}
 
 		// Step 2: every waiting core whose page is absent queues it.
@@ -142,6 +147,7 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 				seq++
 				arb.Push(model.Request{Core: model.CoreID(i), Page: page, Issued: c.reqTick, Seq: seq})
 				c.queued = true
+				obs.OnQueue(model.CoreID(i), page, t)
 			}
 		}
 
@@ -160,7 +166,10 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 				need++
 			}
 		}
-		evictions += uint64(len(store.EnsureRoom(need)))
+		for _, pg := range store.EnsureRoom(need) {
+			evictions++
+			obs.OnEvict(pg, t)
+		}
 
 		// Step 4: serve every core whose page is resident.
 		for i := range cores {
@@ -173,14 +182,15 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 				continue // evicted between steps 2 and 4; re-queues next tick
 			}
 			store.Touch(page)
-			w := float64(t-c.reqTick) + 1
-			c.resp.record(w)
+			r := t - c.reqTick + 1
+			c.resp.record(float64(r))
+			obs.OnServe(model.CoreID(i), page, t, r)
 			if gap := t - c.lastServe; gap > c.maxGap {
 				c.maxGap = gap
 			}
 			c.lastServe = t
 			if hist != nil {
-				hist.Add(uint64(w))
+				hist.Add(uint64(r))
 			}
 			c.pos++
 			if c.pos == len(traces[i]) {
@@ -196,11 +206,13 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 		}
 
 		// Step 5: grant channels, then land due transfers.
-		for i := 0; i < cfg.Channels; i++ {
+		granted := 0
+		for ; granted < cfg.Channels; granted++ {
 			r, ok := arb.Pop()
 			if !ok {
 				break
 			}
+			obs.OnGrant(r.Core, r.Page, t, t-r.Issued)
 			inflight = append(inflight, arrival{
 				core: r.Core, page: r.Page,
 				land: t + model.Tick(cfg.FetchLatency) - 1,
@@ -212,12 +224,14 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 				break
 			}
 			landed++
-			if _, displaced, err := store.Insert(a.page); err != nil {
+			if victim, displaced, err := store.Insert(a.page); err != nil {
 				panic(fmt.Sprintf("core: reference fetch failed at tick %d: %v", t, err))
 			} else if displaced {
 				evictions++
+				obs.OnEvict(victim, t)
 			}
 			fetches++
+			obs.OnFetch(a.core, a.page, t)
 			cores[a.core].queued = false
 		}
 		if landed > 0 {
@@ -225,6 +239,7 @@ func RunReference(cfg Config, traces [][]model.PageID) (*Result, error) {
 		}
 		queueSum += uint64(arb.Len())
 		queueTicks++
+		obs.OnTickEnd(t, arb.Len(), granted)
 	}
 
 	res := &Result{

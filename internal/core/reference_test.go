@@ -22,7 +22,7 @@ func TestReferenceEquivalence(t *testing.T) {
 		cfg.CollectHistogram = rng.Intn(2) == 0
 
 		fast, fe := Run(cfg, ts)
-		slow, se := RunReference(cfg, ts)
+		slow, se := RunReference(cfg, ts, nil)
 		if (fe == nil) != (se == nil) {
 			t.Fatalf("seed %d: error mismatch: fast=%v slow=%v", seed, fe, se)
 		}
@@ -67,7 +67,7 @@ func TestReferenceEquivalenceContended(t *testing.T) {
 		{HBMSlots: 40, Channels: 2, Replacement: "belady"},
 	} {
 		fast, fe := Run(cfg, ts)
-		slow, se := RunReference(cfg, ts)
+		slow, se := RunReference(cfg, ts, nil)
 		if fe != nil || se != nil {
 			t.Fatalf("cfg %+v: errors %v / %v", cfg, fe, se)
 		}
@@ -95,4 +95,28 @@ func genContended(rng *rand.Rand, p, pages, refs int) [][]model.PageID {
 		ts[i] = tr
 	}
 	return ts
+}
+
+// TestAutoCapCoversFetchLatency: under FetchLatency 8 every miss costs
+// 9 ticks, so one core streaming 20,000 distinct pages finishes at tick
+// 180,000, past the unit-latency cap of 166,152; the automatic cap must
+// leave room for it in Run and RunReference alike.
+func TestAutoCapCoversFetchLatency(t *testing.T) {
+	tr := make([]model.PageID, 20000)
+	for i := range tr {
+		tr[i] = model.PageID(i)
+	}
+	ts := [][]model.PageID{tr}
+	cfg := Config{HBMSlots: 4, Channels: 1, FetchLatency: 8}
+	fast, fe := Run(cfg, ts)
+	slow, se := RunReference(cfg, ts, nil)
+	for _, r := range []struct {
+		name string
+		res  *Result
+		err  error
+	}{{"Run", fast, fe}, {"RunReference", slow, se}} {
+		if r.err != nil || r.res.Makespan != 180000 {
+			t.Fatalf("%s: err %v, result %+v; want makespan 180000 untruncated", r.name, r.err, r.res)
+		}
+	}
 }

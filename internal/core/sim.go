@@ -79,14 +79,11 @@ type Sim struct {
 	// original PageIDs at the Observer boundary (origOf[dense] = original).
 	// nil when the workload was already dense, so no translation is needed.
 	origOf []model.PageID
-	// universe is the dense page-ID universe size U from compaction; -1
-	// for the uncompacted differential-test path (which does not support
-	// checkpointing or fast-forwarding).
+	// universe is the dense page-ID universe size U from compaction.
 	universe int
 
 	// noFF selects per-tick stepping, with no fast-forward and no
-	// cruising: set for uncompacted simulators, and by differential tests
-	// that pin both against it.
+	// cruising: set by differential tests that pin both against it.
 	noFF bool
 	// touchNop records that store.Touch is a no-op for this configuration
 	// (direct-mapped stores, FIFO and Random replacement), so skipped
@@ -170,59 +167,27 @@ type Sim struct {
 // Observers always see the original PageIDs: dense IDs are translated
 // back at the event boundary, and Results carry no page IDs at all.
 func New(cfg Config, traces [][]model.PageID) (*Sim, error) {
-	return newSim(cfg, traces, true)
-}
-
-// newUncompacted builds the simulator over the retained map-based
-// reference stores and the original sparse page IDs. It exists for the
-// differential tests that pin the dense fast path to the map-based
-// stores; production callers use New.
-func newUncompacted(cfg Config, traces [][]model.PageID) (*Sim, error) {
-	return newSim(cfg, traces, false)
-}
-
-func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(len(traces)); err != nil {
 		return nil, err
 	}
-	var origOf []model.PageID
-	universe := -1
-	if compact {
-		traces, origOf, universe = compactTraces(traces)
-	}
+	traces, origOf, universe := compactTraces(traces)
 	var store hbm.Store
 	if cfg.Mapping == MappingDirect {
-		if compact {
-			dm, err := hbm.NewDenseDirectMapped(cfg.HBMSlots, cfg.Seed+4, universe, origOf)
-			if err != nil {
-				return nil, err
-			}
-			store = dm
-		} else {
-			dm, err := hbm.NewDirectMapped(cfg.HBMSlots, cfg.Seed+4)
-			if err != nil {
-				return nil, err
-			}
-			store = dm
+		dm, err := hbm.NewDenseDirectMapped(cfg.HBMSlots, cfg.Seed+4, universe, origOf)
+		if err != nil {
+			return nil, err
 		}
+		store = dm
 	} else {
 		var pol replacement.Policy
 		if cfg.Replacement == replacement.Belady {
 			// The clairvoyant offline baseline needs the workload's
 			// future; wire the traces through here.
-			if compact {
-				pol = replacement.NewBeladyDense(traces, universe)
-			} else {
-				pol = replacement.NewBelady(traces)
-			}
+			pol = replacement.NewBeladyDense(traces, universe)
 		} else {
 			var err error
-			if compact {
-				pol, err = replacement.NewDense(cfg.Replacement, universe, cfg.Seed+1)
-			} else {
-				pol, err = replacement.New(cfg.Replacement, cfg.Seed+1)
-			}
+			pol, err = replacement.NewDense(cfg.Replacement, universe, cfg.Seed+1)
 			if err != nil {
 				return nil, err
 			}
@@ -250,11 +215,7 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 	// one entry per core in the active/candidate sets and at most
 	// Channels*FetchLatency grants in flight — so the steady-state tick
 	// loop performs no allocations.
-	p := len(traces)
-	u := 0
-	if universe > 0 {
-		u = universe
-	}
+	p, u := len(traces), universe
 	// Same-typed per-core arrays share one backing allocation each (the
 	// three-index caps keep a future append from clobbering the sibling);
 	// construction stays a handful of allocations even with the
@@ -291,7 +252,6 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 	if cfg.CollectHistogram {
 		s.hist = &stats.Histogram{}
 	}
-	var total uint64
 	for i, tr := range traces {
 		s.pri[i] = int32(i)
 		if len(tr) == 0 {
@@ -301,48 +261,54 @@ func newSim(cfg Config, traces [][]model.PageID, compact bool) (*Sim, error) {
 			s.reqTick[i] = 1
 			s.active = append(s.active, model.CoreID(i))
 		}
+	}
+	s.capT = tickCap(cfg, traces)
+	s.ownerOf = i32Buf[p:]
+	for ci, tr := range traces {
+		for _, pg := range tr {
+			s.ownerOf[pg] = int32(ci)
+		}
+	}
+	u64Buf := make([]uint64, u+p)
+	s.pageGen = u64Buf[:u:u]
+	s.scanGen = u64Buf[u : u+p : u+p]
+	// Touch is a no-op exactly when no recency or clairvoyant state
+	// exists to update: direct-mapped slots, FIFO insertion order,
+	// Random's uniform victims. LRU, CLOCK, and Belady all observe
+	// touches, so skipped ticks replay them.
+	s.touchNop = cfg.Mapping == MappingDirect ||
+		cfg.Replacement == replacement.FIFO || cfg.Replacement == replacement.Random
+	s.initCruise(intBuf[2*p:], tickBuf[p:])
+	return s, nil
+}
+
+// tickCap returns cfg.MaxTicks, or when it is zero the automatic cap New
+// and RunReference both truncate a run at.
+func tickCap(cfg Config, traces [][]model.PageID) model.Tick {
+	if cfg.MaxTicks != 0 {
+		return cfg.MaxTicks
+	}
+	var total uint64
+	for _, tr := range traces {
 		total += uint64(len(tr))
 	}
-	s.capT = cfg.MaxTicks
-	if s.capT == 0 {
-		// Generous automatic cap: legitimate makespans are bounded by
-		// roughly 2x the total reference count (every tick either serves
-		// or fetches when work remains); the slack absorbs small-k edge
-		// behaviour while still halting eviction livelocks (possible when
-		// k is within q of the working set, see DESIGN.md §4).
-		s.capT = 8*model.Tick(total+1) + 1024*model.Tick(len(traces)+cfg.HBMSlots+cfg.Channels)
-		// Slow backends stretch every miss by their worst-case transfer
-		// time; widen the automatic cap accordingly (the reference model's
-		// formula is untouched).
-		if b := cfg.Backend.WithDefaults(); b.Kind != membackend.Reference {
-			perMiss := (b.PageBytes+b.BytesPerTick-1)/b.BytesPerTick + b.LatencyTicks
-			if h := b.SlowReadTicks + b.SlowWriteTicks; b.Kind == membackend.Hybrid && h > perMiss {
-				perMiss = h
-			}
-			s.capT += model.Tick(perMiss) * model.Tick(total+1)
+	refs := model.Tick(total + 1)
+	// Generous automatic cap: under unit fetch latency legitimate
+	// makespans are bounded by roughly 2x the total reference count
+	// (every tick either serves or fetches when work remains); the slack
+	// absorbs small-k edge behaviour while still halting eviction
+	// livelocks (possible when k is within q of the working set, see
+	// DESIGN.md §4). Every miss beyond that costs its transfer time past
+	// one tick: FetchLatency-1 under the reference model, the worst-case
+	// transfer time of a slow backend.
+	perMiss := cfg.FetchLatency - 1
+	if b := cfg.Backend.WithDefaults(); b.Kind != membackend.Reference {
+		perMiss = (b.PageBytes+b.BytesPerTick-1)/b.BytesPerTick + b.LatencyTicks
+		if h := b.SlowReadTicks + b.SlowWriteTicks; b.Kind == membackend.Hybrid && h > perMiss {
+			perMiss = h
 		}
 	}
-	if compact {
-		s.ownerOf = i32Buf[p:]
-		for ci, tr := range traces {
-			for _, pg := range tr {
-				s.ownerOf[pg] = int32(ci)
-			}
-		}
-		u64Buf := make([]uint64, u+p)
-		s.pageGen = u64Buf[:u:u]
-		s.scanGen = u64Buf[u : u+p : u+p]
-		// Touch is a no-op exactly when no recency or clairvoyant state
-		// exists to update: direct-mapped slots, FIFO insertion order,
-		// Random's uniform victims. LRU, CLOCK, and Belady all observe
-		// touches, so skipped ticks replay them.
-		s.touchNop = cfg.Mapping == MappingDirect ||
-			cfg.Replacement == replacement.FIFO || cfg.Replacement == replacement.Random
-		s.initCruise(intBuf[2*p:], tickBuf[p:])
-	} else {
-		s.noFF = true
-	}
-	return s, nil
+	return 8*refs + 1024*model.Tick(len(traces)+cfg.HBMSlots+cfg.Channels) + model.Tick(perMiss)*refs
 }
 
 // Tick returns the current simulation tick. A Step that fast-forwards a
@@ -817,8 +783,7 @@ func (s *Sim) hitRun(ci model.CoreID, lim int) int {
 // forcing quadratic rescans.
 func (s *Sim) invalidateScan(pg model.PageID) {
 	if s.scansLive == 0 {
-		// No core holds a live cache (also true for uncompacted
-		// simulators, which never fast-forward): nothing to stale.
+		// No core holds a live cache: nothing to stale.
 		return
 	}
 	o := s.ownerOf[pg]
@@ -890,7 +855,7 @@ func (s *Sim) fastForward(n model.Tick) {
 
 // orig translates a dense internal page ID back to the caller's original
 // PageID at the Observer boundary; the identity when no compaction was
-// needed (or the simulator runs uncompacted for differential testing).
+// needed.
 func (s *Sim) orig(p model.PageID) model.PageID {
 	if s.origOf == nil {
 		return p

@@ -52,9 +52,6 @@ func (s *Source) Seed(seed int64) {
 	s.src.Seed(seed)
 }
 
-// Draws returns the number of values drawn since the last (re)seed.
-func (s *Source) Draws() uint64 { return s.draws }
-
 // SaveState writes the stream position. The seed is construction-time
 // state (derived from Config.Seed), so it is not stored: a restore into
 // a source built with a different seed is caught by the snapshot's

@@ -7,7 +7,6 @@ import (
 
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
-	"hbmsim/internal/trace"
 )
 
 func TestMulAddMod61AgainstNaive(t *testing.T) {
@@ -81,39 +80,6 @@ func TestUniversalHashSpreads(t *testing.T) {
 	}
 }
 
-func TestAssocLRUSequence(t *testing.T) {
-	a, err := NewAssoc(2, replacement.LRU, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := []struct {
-		page model.PageID
-		hit  bool
-	}{
-		{1, false}, {2, false}, {1, true}, {3, false}, // evicts 2
-		{2, false}, {1, false}, // 3 then 1 were evicted... check below
-	}
-	// Working through: after {3,false} cache = {1,3} (2 evicted).
-	// {2,false} evicts 1 -> {3,2}. {1,false} evicts 3 -> {2,1}.
-	for i, s := range seq {
-		if got := a.Access(s.page); got != s.hit {
-			t.Fatalf("step %d (page %d): hit=%v, want %v", i, s.page, got, s.hit)
-		}
-	}
-	if a.Hits() != 1 || a.Misses() != 5 {
-		t.Fatalf("hits/misses: %d/%d", a.Hits(), a.Misses())
-	}
-}
-
-func TestAssocErrors(t *testing.T) {
-	if _, err := NewAssoc(0, replacement.LRU, 1); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := NewAssoc(2, "bogus", 1); err == nil {
-		t.Fatal("bad policy accepted")
-	}
-}
-
 func TestCacheDirectMapped(t *testing.T) {
 	c, err := NewCache(8, 1)
 	if err != nil {
@@ -157,24 +123,33 @@ func TestTransformErrors(t *testing.T) {
 // TestTransformMatchesAssoc is the heart of Lemma 1: the transformed
 // program's hit/miss decisions must be *identical* to the
 // fully-associative cache it simulates, for both LRU and FIFO, on any
-// reference stream.
+// reference stream. The oracle is a k-page cache over the replacement
+// policy itself: a hit touches, a miss evicts when full and inserts.
 func TestTransformMatchesAssoc(t *testing.T) {
 	for _, kind := range []replacement.Kind{replacement.LRU, replacement.FIFO} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			f := func(seed int64, kRaw uint8, ops []uint16) bool {
 				k := int(kRaw%16) + 1
-				assoc, err := NewAssoc(k, kind, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
+				pol := replacement.MustNew(kind, seed)
 				xform, err := NewTransform(k, kind, 4, seed+1)
 				if err != nil {
 					t.Fatal(err)
 				}
+				var hits, misses uint64
 				for i, op := range ops {
 					page := model.PageID(op % 64)
-					ah := assoc.Access(page)
+					ah := pol.Contains(page)
+					if ah {
+						pol.Touch(page)
+						hits++
+					} else {
+						if pol.Len() == k {
+							pol.Evict()
+						}
+						pol.Insert(page)
+						misses++
+					}
 					xh := xform.Access(page)
 					if ah != xh {
 						t.Fatalf("k=%d %s: step %d page %d: assoc hit=%v, transform hit=%v",
@@ -182,9 +157,9 @@ func TestTransformMatchesAssoc(t *testing.T) {
 					}
 				}
 				st := xform.Stats()
-				if st.Hits != assoc.Hits() || st.Misses != assoc.Misses() {
+				if st.Hits != hits || st.Misses != misses {
 					t.Fatalf("counts diverge: %d/%d vs %d/%d",
-						st.Hits, st.Misses, assoc.Hits(), assoc.Misses())
+						st.Hits, st.Misses, hits, misses)
 				}
 				return true
 			}
@@ -255,42 +230,5 @@ func TestTransformFIFOOrder(t *testing.T) {
 	}
 	if xform.Access(1) != false {
 		t.Fatal("page 1 should have been evicted")
-	}
-}
-
-// TestAssocDenseMatchesSparse drives the dense fully-associative cache
-// over a compacted trace and the map-based one over the original sparse
-// trace; the per-access hit/miss sequences must be identical, because
-// replacement decisions depend only on page identity and renumbering is
-// a bijection.
-func TestAssocDenseMatchesSparse(t *testing.T) {
-	for _, kind := range []replacement.Kind{replacement.LRU, replacement.FIFO, replacement.Clock} {
-		rng := rand.New(rand.NewSource(21))
-		tr := make([]model.PageID, 4000)
-		for i := range tr {
-			tr[i] = model.PageID(rng.Intn(64)*977 + 1<<33) // sparse IDs
-		}
-		dense := make([]model.PageID, len(tr))
-		universe := trace.Renumber(dense, tr, 0)
-		if universe != 64 {
-			t.Fatalf("Renumber universe = %d, want 64", universe)
-		}
-		sparse, err := NewAssoc(16, kind, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dn, err := NewAssocDense(16, kind, 7, universe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range tr {
-			if sparse.Access(p) != dn.Access(dense[i]) {
-				t.Fatalf("%s: access %d: hit/miss diverges", kind, i)
-			}
-		}
-		if sparse.Hits() != dn.Hits() || sparse.Misses() != dn.Misses() {
-			t.Fatalf("%s: totals diverge: (%d,%d) vs (%d,%d)",
-				kind, sparse.Hits(), sparse.Misses(), dn.Hits(), dn.Misses())
-		}
 	}
 }

@@ -5,17 +5,16 @@
 // cache of size Θ(k), using a 2-universal hash table (with chaining) for
 // associativity and a doubly-linked list for the replacement order.
 //
-// The package provides three simulators —
+// The package provides two simulators —
 //
-//   - Assoc: a fully-associative cache with a pluggable replacement policy
-//     (the baseline the theory speaks about);
 //   - Cache: a plain direct-mapped cache (what HBM hardware actually is);
 //   - Transform: the transformed program of Lemma 1, whose *own* metadata
 //     and data accesses are pushed through a direct-mapped cache of size
 //     Θ(k) so its constant-factor overhead can be measured;
 //
 // — plus the measurement hooks the abl-dmap experiment uses to verify the
-// lemma's O(1) expected overhead empirically.
+// lemma's O(1) expected overhead empirically, against the
+// fully-associative baseline the theory speaks about (hbm.Assoc).
 package directmap
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hbmsim/internal/directmap"
+	"hbmsim/internal/hbm"
 	"hbmsim/internal/replacement"
 	"hbmsim/internal/report"
 	"hbmsim/internal/trace"
@@ -24,10 +25,11 @@ func ablDirectMapped(o Options) (*Outcome, error) {
 		return nil, err
 	}
 	// Size the cache to half the trace's unique pages so misses occur.
-	// The associative reference runs on a densely renumbered copy of the
-	// trace (bit-identical misses, no map ops on its Access path); the
-	// naive direct-mapped cache and the transform keep the original IDs,
-	// whose values their hashes depend on.
+	// The associative reference, the simulator's store over a dense
+	// policy, runs on a densely renumbered copy of the trace (replacement
+	// decisions depend only on page identity); the naive direct-mapped
+	// cache and the transform keep the original IDs, whose values their
+	// hashes depend on.
 	denseTr := make(trace.Trace, len(tr))
 	uniq := trace.Renumber(denseTr, tr, 0)
 	k := uniq / 2
@@ -41,7 +43,11 @@ func ablDirectMapped(o Options) (*Outcome, error) {
 
 	var worstAccessesPerOp, worstMissRatio float64
 	for _, kind := range []replacement.Kind{replacement.LRU, replacement.FIFO} {
-		assoc, err := directmap.NewAssocDense(k, kind, o.Seed+1, uniq)
+		pol, err := replacement.NewDense(kind, uniq, o.Seed+1)
+		if err != nil {
+			return nil, err
+		}
+		assoc, err := hbm.NewAssoc(k, pol)
 		if err != nil {
 			return nil, err
 		}
@@ -53,13 +59,22 @@ func ablDirectMapped(o Options) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
+		var assocMisses uint64
 		for i, p := range tr {
-			assoc.Access(denseTr[i])
+			if d := denseTr[i]; assoc.Contains(d) {
+				assoc.Touch(d)
+			} else {
+				assocMisses++
+				assoc.EnsureRoom(1)
+				if _, _, err := assoc.Insert(d); err != nil {
+					return nil, err
+				}
+			}
 			naive.Access(p)
 			xform.Access(p)
 		}
 		st := xform.Stats()
-		tbl.AddRow(string(kind), assoc.Misses(), naive.Misses(), st.Misses,
+		tbl.AddRow(string(kind), assocMisses, naive.Misses(), st.Misses,
 			st.AccessesPerOp(), st.MissesPerMiss(), st.AvgChain(), st.MaxChain)
 		if st.AccessesPerOp() > worstAccessesPerOp {
 			worstAccessesPerOp = st.AccessesPerOp()

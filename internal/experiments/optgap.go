@@ -74,10 +74,10 @@ func optGapStudy(o Options) (*Outcome, error) {
 			live, batchRatio, final.UniquePages, final.P90Distance, final.MissRatio)
 		pts := make([]report.OptGapPoint, 0, len(tracker.Points())+1)
 		for _, pt := range tracker.Points() {
-			pts = append(pts, report.OptGapPoint{Tick: float64(pt.Tick), Ratio: pt.Ratio, MissRatio: pt.MissRatio})
+			pts = append(pts, report.OptGapPoint{Tick: float64(pt.Tick), Ratio: pt.Ratio})
 		}
 		if n := len(tracker.Points()); n == 0 || tracker.Points()[n-1].Tick != final.Tick {
-			pts = append(pts, report.OptGapPoint{Tick: float64(final.Tick), Ratio: final.Ratio, MissRatio: final.MissRatio})
+			pts = append(pts, report.OptGapPoint{Tick: float64(final.Tick), Ratio: final.Ratio})
 		}
 		series = append(series, report.OptGapSeries(sc.name, pts))
 		if live != batchRatio {

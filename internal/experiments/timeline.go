@@ -91,7 +91,7 @@ func timelineExperiment(o Options) (*Outcome, error) {
 		}
 		meanFair[r.name] = mean
 		tbl.AddRow(r.name, uint64(res.Makespan), len(wins), lo, mean, uint64(res.MaxServeGap))
-		series = append(series, report.TimelineSeries(r.name, tl, report.MetricFairness))
+		series = append(series, report.TimelineSeries(r.name, tl))
 	}
 
 	return &Outcome{

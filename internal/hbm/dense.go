@@ -17,12 +17,13 @@ import (
 // Crucially, the slot of dense page d is the hash of its *original*
 // PageID (via origOf), not of d itself: slot conflicts — and therefore
 // evictions, makespans, and every downstream metric — are bit-identical
-// to NewDirectMapped running on the uncompacted workload with the same
-// seed. A nil origOf means the compaction was the identity.
+// to NewDirectMapped on the original page IDs (as core.RunReference runs
+// it) with the same seed. A nil origOf means the compaction was the
+// identity.
 type DenseDirectMapped struct {
 	slots  []int32  // slot -> resident dense page, or -1 when empty
 	slotOf []uint32 // dense page -> its unique slot
-	n      int
+	n      int      // occupied slots, the snapshot's pair count
 }
 
 // NewDenseDirectMapped returns an empty direct-mapped store of k slots
@@ -59,12 +60,6 @@ func NewDenseDirectMapped(k int, seed int64, universe int, origOf []model.PageID
 	return s, nil
 }
 
-// Capacity returns k.
-func (s *DenseDirectMapped) Capacity() int { return len(s.slots) }
-
-// Len returns the number of occupied slots.
-func (s *DenseDirectMapped) Len() int { return s.n }
-
 // Contains reports whether the page is resident (in its slot).
 func (s *DenseDirectMapped) Contains(page model.PageID) bool {
 	return s.slots[s.slotOf[page]] == int32(page)
@@ -90,7 +85,3 @@ func (s *DenseDirectMapped) Insert(page model.PageID) (model.PageID, bool, error
 	s.n++
 	return 0, false, nil
 }
-
-// Kind describes the organisation (the same string as DirectMapped, so
-// reports are unchanged by compaction).
-func (s *DenseDirectMapped) Kind() string { return "direct-mapped" }

@@ -64,8 +64,8 @@ func TestEnsureRoomScratchGrows(t *testing.T) {
 
 // TestDenseDirectMappedMatchesSparse drives a DenseDirectMapped store and
 // the map-free-but-hash-per-access DirectMapped reference through the
-// same operation sequence and requires identical residency, displacement,
-// and occupancy at every step — for both an identity compaction and a
+// same operation sequence and requires identical residency and
+// displacement at every step — for both an identity compaction and a
 // shuffled (non-identity) origOf table. Slots must agree because the
 // dense store hashes the original IDs at construction.
 func TestDenseDirectMappedMatchesSparse(t *testing.T) {
@@ -113,9 +113,6 @@ func TestDenseDirectMappedMatchesSparse(t *testing.T) {
 				t.Fatalf("shuffled=%v step %d: displaced %d (orig %d), reference displaced %d",
 					shuffled, step, dv, orig(dv), sv)
 			}
-			if dense.Len() != sparse.Len() {
-				t.Fatalf("shuffled=%v step %d: Len %d vs %d", shuffled, step, dense.Len(), sparse.Len())
-			}
 		}
 	}
 }
@@ -136,18 +133,12 @@ func TestDenseDirectMappedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Kind() != "direct-mapped" {
-		t.Fatalf("Kind = %q", s.Kind())
-	}
 	mustInsert(t, s, 3)
 	if _, _, err := s.Insert(3); err == nil {
 		t.Fatal("duplicate insert should error")
 	}
 	if got := s.EnsureRoom(4); got != nil {
 		t.Fatalf("EnsureRoom should be a no-op, got %v", got)
-	}
-	if s.Capacity() != 4 || s.Len() != 1 {
-		t.Fatalf("cap=%d len=%d", s.Capacity(), s.Len())
 	}
 }
 

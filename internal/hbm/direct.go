@@ -11,12 +11,13 @@ import (
 // DirectMapped is the hardware-realistic store: page p may only occupy
 // slot h(p) for a fixed 2-universal hash h, so inserting a page displaces
 // whatever occupied its slot. There is no replacement policy — conflicts
-// decide evictions, exactly as in KNL cache mode.
+// decide evictions, exactly as in KNL cache mode. It hashes the page on
+// every access and backs core.RunReference; core.New runs the
+// DenseDirectMapped store, which makes the same decisions.
 type DirectMapped struct {
 	slots []model.PageID
 	full  []bool
 	hash  directmap.UniversalHash
-	n     int
 }
 
 // NewDirectMapped returns an empty direct-mapped store of k slots with a
@@ -35,12 +36,6 @@ func NewDirectMapped(k int, seed int64) (*DirectMapped, error) {
 		hash:  h,
 	}, nil
 }
-
-// Capacity returns k.
-func (s *DirectMapped) Capacity() int { return len(s.slots) }
-
-// Len returns the number of occupied slots.
-func (s *DirectMapped) Len() int { return s.n }
 
 // slot returns the unique slot of the page.
 func (s *DirectMapped) slot(page model.PageID) uint64 { return s.hash.Hash(uint64(page)) }
@@ -70,9 +65,5 @@ func (s *DirectMapped) Insert(page model.PageID) (model.PageID, bool, error) {
 	}
 	s.slots[i] = page
 	s.full[i] = true
-	s.n++
 	return 0, false, nil
 }
-
-// Kind describes the organisation.
-func (s *DirectMapped) Kind() string { return "direct-mapped" }

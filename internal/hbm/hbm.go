@@ -23,10 +23,6 @@ import (
 // Store is the simulator's view of the HBM. Implementations are not safe
 // for concurrent use.
 type Store interface {
-	// Capacity returns k, the number of slots.
-	Capacity() int
-	// Len returns the number of resident pages.
-	Len() int
 	// Contains reports whether the page is resident.
 	Contains(page model.PageID) bool
 	// Touch records an access to a resident page (refreshing it for
@@ -49,8 +45,6 @@ type Store interface {
 	// stores never displace — callers must EnsureRoom first, and an
 	// insert into a full associative store is an error.
 	Insert(page model.PageID) (displaced model.PageID, wasDisplaced bool, err error)
-	// Kind describes the organisation for reports.
-	Kind() string
 }
 
 // Assoc is the fully-associative store.
@@ -73,12 +67,6 @@ func NewAssoc(k int, policy replacement.Policy) (*Assoc, error) {
 	}
 	return &Assoc{capacity: k, policy: policy}, nil
 }
-
-// Capacity returns k.
-func (s *Assoc) Capacity() int { return s.capacity }
-
-// Len returns the number of resident pages.
-func (s *Assoc) Len() int { return s.policy.Len() }
 
 // Free returns the number of empty slots.
 func (s *Assoc) Free() int { return s.capacity - s.policy.Len() }
@@ -121,16 +109,6 @@ func (s *Assoc) Insert(page model.PageID) (model.PageID, bool, error) {
 // when the store is empty.
 func (s *Assoc) Evict() (model.PageID, bool) { return s.policy.Evict() }
 
-// Remove invalidates a specific resident page, reporting whether it was
-// resident.
-func (s *Assoc) Remove(page model.PageID) bool {
-	if !s.policy.Contains(page) {
-		return false
-	}
-	s.policy.Remove(page)
-	return true
-}
-
 // Recency returns the policy's recency list (head peek and ordered
 // relink) when it keeps one — the dense LRU and FIFO lists do — and nil
 // otherwise.
@@ -138,9 +116,3 @@ func (s *Assoc) Recency() replacement.Recency {
 	r, _ := s.policy.(replacement.Recency)
 	return r
 }
-
-// PolicyKind returns the kind of the underlying replacement policy.
-func (s *Assoc) PolicyKind() replacement.Kind { return s.policy.Kind() }
-
-// Kind describes the organisation.
-func (s *Assoc) Kind() string { return fmt.Sprintf("associative/%s", s.policy.Kind()) }

@@ -42,8 +42,8 @@ func TestNewAssocErrors(t *testing.T) {
 
 func TestAssocInsertContainsEvict(t *testing.T) {
 	s := newAssoc(t, 2)
-	if s.Capacity() != 2 || s.Len() != 0 || s.Free() != 2 {
-		t.Fatalf("fresh store: cap=%d len=%d free=%d", s.Capacity(), s.Len(), s.Free())
+	if s.Free() != 2 {
+		t.Fatalf("fresh store: free=%d", s.Free())
 	}
 	mustInsert(t, s, 10)
 	mustInsert(t, s, 20)
@@ -99,34 +99,10 @@ func TestAssocTouchChangesVictim(t *testing.T) {
 	}
 }
 
-func TestAssocRemove(t *testing.T) {
-	s := newAssoc(t, 2)
-	mustInsert(t, s, 1)
-	if !s.Remove(1) {
-		t.Fatal("remove of resident page should report true")
-	}
-	if s.Remove(1) {
-		t.Fatal("second remove should report false")
-	}
-	if s.Len() != 0 {
-		t.Fatalf("len after remove: %d", s.Len())
-	}
-}
-
 func TestAssocEvictEmpty(t *testing.T) {
 	s := newAssoc(t, 1)
 	if _, ok := s.Evict(); ok {
 		t.Fatal("evict from empty store should fail")
-	}
-}
-
-func TestAssocKind(t *testing.T) {
-	s := newAssoc(t, 1)
-	if s.PolicyKind() != replacement.LRU {
-		t.Fatalf("policy kind: got %s", s.PolicyKind())
-	}
-	if s.Kind() != "associative/lru" {
-		t.Fatalf("kind: %q", s.Kind())
 	}
 }
 
@@ -135,15 +111,9 @@ func TestDirectMappedBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Capacity() != 8 || s.Len() != 0 {
-		t.Fatalf("fresh: cap=%d len=%d", s.Capacity(), s.Len())
-	}
 	mustInsert(t, s, 42)
 	if !s.Contains(42) || s.Contains(43) {
 		t.Fatal("containment wrong")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("len: %d", s.Len())
 	}
 	if _, _, err := s.Insert(42); err == nil {
 		t.Fatal("re-inserting a resident page should fail")
@@ -152,9 +122,6 @@ func TestDirectMappedBasics(t *testing.T) {
 		t.Fatalf("direct-mapped EnsureRoom should be a no-op, got %v", ev)
 	}
 	s.Touch(42) // no-op, must not panic
-	if s.Kind() != "direct-mapped" {
-		t.Fatalf("kind: %q", s.Kind())
-	}
 }
 
 func TestDirectMappedConflictDisplaces(t *testing.T) {
@@ -180,9 +147,6 @@ func TestDirectMappedConflictDisplaces(t *testing.T) {
 	}
 	if s.Contains(1) || !s.Contains(collider) {
 		t.Fatal("slot contents wrong after displacement")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("len after displacement: %d", s.Len())
 	}
 }
 

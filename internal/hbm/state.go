@@ -8,9 +8,9 @@ import (
 
 // Checkpoint support. Assoc delegates to its replacement policy (the
 // policy's residency set IS the store's residency set); DenseDirectMapped
-// serialises its occupied slots. The sparse map-based DirectMapped store
-// deliberately has no checkpoint support — it only backs the uncompacted
-// differential-test path.
+// serialises its occupied slots. The sparse DirectMapped store has no
+// checkpoint support: it only backs core.RunReference, which never
+// checkpoints.
 
 // SaveState implements snap.Saver when the underlying policy does;
 // otherwise it latches a descriptive error into the writer.

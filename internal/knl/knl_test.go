@@ -248,9 +248,3 @@ func TestPropertiesDetectMiscalibration(t *testing.T) {
 		t.Fatal("P2 should fail when HBM bandwidth equals DRAM's")
 	}
 }
-
-func TestModesList(t *testing.T) {
-	if len(Modes()) != 3 {
-		t.Fatalf("modes: %v", Modes())
-	}
-}

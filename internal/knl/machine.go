@@ -29,9 +29,6 @@ const (
 	Cache    Mode = "cache"
 )
 
-// Modes lists the three memory modes.
-func Modes() []Mode { return []Mode{FlatDRAM, FlatHBM, Cache} }
-
 // Machine holds the calibrated hardware parameters.
 type Machine struct {
 	// Threads is the hardware thread count (KNL: 68 cores x 4 = 272).

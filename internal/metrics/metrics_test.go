@@ -213,10 +213,4 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets = %v", exp)
 		}
 	}
-	lin := LinearBuckets(0, 5, 3)
-	for i, want := range []float64{0, 5, 10} {
-		if lin[i] != want {
-			t.Fatalf("LinearBuckets = %v", lin)
-		}
-	}
 }

@@ -54,8 +54,6 @@ func NewBelady(traces [][]model.PageID) Policy {
 	return b
 }
 
-func (b *beladyPolicy) Kind() Kind { return Belady }
-
 func (b *beladyPolicy) Len() int { return len(b.resident) }
 
 func (b *beladyPolicy) Contains(page model.PageID) bool {
@@ -131,14 +129,6 @@ func (b *beladyPolicy) Evict() (model.PageID, bool) {
 	page := b.resident[bestIdx]
 	b.removeAt(page, bestIdx)
 	return page, true
-}
-
-func (b *beladyPolicy) Remove(page model.PageID) {
-	i, ok := b.index[page]
-	if !ok {
-		return
-	}
-	b.removeAt(page, i)
 }
 
 func (b *beladyPolicy) removeAt(page model.PageID, i int) {

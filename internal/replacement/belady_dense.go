@@ -21,7 +21,7 @@ type denseBelady struct {
 // NewBeladyDense builds the clairvoyant policy for per-core traces whose
 // pages have been compacted to [0, universe) (which must be the exact
 // traces the simulation will run, and disjoint). It makes the same
-// eviction decisions as NewBelady on the uncompacted traces.
+// eviction decisions as NewBelady on the original traces.
 func NewBeladyDense(traces [][]model.PageID, universe int) Policy {
 	b := &denseBelady{
 		start:  make([]int32, universe+1),
@@ -63,8 +63,6 @@ func NewBeladyDense(traces [][]model.PageID, universe int) Policy {
 	}
 	return b
 }
-
-func (b *denseBelady) Kind() Kind { return Belady }
 
 func (b *denseBelady) Len() int { return len(b.resident) }
 
@@ -132,14 +130,6 @@ func (b *denseBelady) Evict() (model.PageID, bool) {
 	page := b.resident[bestIdx]
 	b.removeAt(page, bestIdx)
 	return page, true
-}
-
-func (b *denseBelady) Remove(page model.PageID) {
-	i := b.index[page]
-	if i < 0 {
-		return
-	}
-	b.removeAt(page, int(i))
 }
 
 func (b *denseBelady) removeAt(page model.PageID, i int) {

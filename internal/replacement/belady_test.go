@@ -65,7 +65,7 @@ func TestBeladyReinsertAfterEviction(t *testing.T) {
 	b := NewBelady(tr).(*beladyPolicy)
 	b.Insert(1)
 	b.Touch(1) // pos 1
-	b.Remove(1)
+	b.Evict()
 	b.Insert(2)
 	b.Touch(2) // pos 2
 	// Page 1 re-enters; its cursor must skip the consumed occurrence 0
@@ -79,20 +79,12 @@ func TestBeladyReinsertAfterEviction(t *testing.T) {
 func TestBeladyContractBasics(t *testing.T) {
 	tr := [][]model.PageID{{1, 2, 3}}
 	b := NewBelady(tr)
-	if b.Kind() != Belady {
-		t.Fatalf("kind: %s", b.Kind())
-	}
 	b.Insert(1)
 	b.Insert(1) // double insert tolerated
 	if b.Len() != 1 || !b.Contains(1) || b.Contains(2) {
 		t.Fatalf("basic state wrong: len=%d", b.Len())
 	}
-	b.Touch(99)  // unknown page: no-op
-	b.Remove(42) // unknown page: no-op
-	b.Remove(1)
-	if b.Len() != 0 {
-		t.Fatalf("len after remove: %d", b.Len())
-	}
+	b.Touch(99) // unknown page: no-op
 }
 
 // TestBeladyNeverWorseThanLRUOnSingleCore: the defining property of MIN on

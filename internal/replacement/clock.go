@@ -26,8 +26,6 @@ func newClock() *clockPolicy {
 	return &clockPolicy{index: make(map[model.PageID]int32), hand: nilNode}
 }
 
-func (c *clockPolicy) Kind() Kind { return Clock }
-
 func (c *clockPolicy) Len() int { return len(c.index) }
 
 func (c *clockPolicy) Contains(page model.PageID) bool {
@@ -95,20 +93,8 @@ func (c *clockPolicy) Evict() (model.PageID, bool) {
 	}
 }
 
-func (c *clockPolicy) Remove(page model.PageID) {
-	i, ok := c.index[page]
-	if !ok {
-		return
-	}
-	if c.hand == i {
-		c.hand = c.nodes[i].next
-	}
-	c.detach(i)
-	delete(c.index, page)
-}
-
-// detach removes node i from the circular list and returns it to the free
-// list. It must be called after any hand adjustment.
+// detach removes node i, which the hand has just passed, from the
+// circular list and returns it to the free list.
 func (c *clockPolicy) detach(i int32) {
 	if c.nodes[i].next == i {
 		// last node
@@ -117,9 +103,6 @@ func (c *clockPolicy) detach(i int32) {
 		prev, next := c.nodes[i].prev, c.nodes[i].next
 		c.nodes[prev].next = next
 		c.nodes[next].prev = prev
-		if c.hand == i {
-			c.hand = next
-		}
 	}
 	c.free = append(c.free, i)
 }

@@ -11,8 +11,8 @@ import (
 // NewDense constructs a policy for a page universe that has been
 // compacted to the dense range [0, universe): every residency index and
 // recency structure is a flat slice indexed directly by page, so the
-// tick-path operations (Contains/Touch/Insert/Evict/Remove) perform no
-// map lookups and no allocations at steady state. Callers must only pass
+// tick-path operations (Contains/Touch/Insert/Evict) perform no map
+// lookups and no allocations at steady state. Callers must only pass
 // pages in [0, universe) — internal/core guarantees that via its
 // compaction pass. Dense policies are behaviourally bit-identical to
 // their map-based counterparts from New (replacement decisions depend
@@ -59,13 +59,6 @@ func newDenseList(touchMoves bool, universe int) *denseList {
 		head:       nilNode,
 		tail:       nilNode,
 	}
-}
-
-func (l *denseList) Kind() Kind {
-	if l.touchMoves {
-		return LRU
-	}
-	return FIFO
 }
 
 func (l *denseList) Len() int { return l.n }
@@ -135,16 +128,6 @@ func (l *denseList) Evict() (model.PageID, bool) {
 	return model.PageID(i), true
 }
 
-func (l *denseList) Remove(page model.PageID) {
-	i := int32(page)
-	if !l.resident[i] {
-		return
-	}
-	l.unlink(i)
-	l.resident[i] = false
-	l.n--
-}
-
 // denseClock is clockPolicy over a dense page universe: the circular
 // sweep list is held in prev/next arrays indexed by page, with the
 // reference bits in a flat bool slice.
@@ -166,8 +149,6 @@ func newDenseClock(universe int) *denseClock {
 		hand:     nilNode,
 	}
 }
-
-func (c *denseClock) Kind() Kind { return Clock }
 
 func (c *denseClock) Len() int { return c.n }
 
@@ -220,19 +201,8 @@ func (c *denseClock) Evict() (model.PageID, bool) {
 	}
 }
 
-func (c *denseClock) Remove(page model.PageID) {
-	i := int32(page)
-	if !c.resident[i] {
-		return
-	}
-	if c.hand == i {
-		c.hand = c.next[i]
-	}
-	c.detach(i)
-}
-
-// detach removes page i from the circular list. It must be called after
-// any hand adjustment.
+// detach removes page i, which the hand has just passed, from the
+// circular list.
 func (c *denseClock) detach(i int32) {
 	if c.next[i] == i {
 		// last page
@@ -241,9 +211,6 @@ func (c *denseClock) detach(i int32) {
 		prev, next := c.prev[i], c.next[i]
 		c.next[prev] = next
 		c.prev[next] = prev
-		if c.hand == i {
-			c.hand = next
-		}
 	}
 	c.resident[i] = false
 	c.n--
@@ -273,8 +240,6 @@ func newDenseRandom(universe int, seed int64) *denseRandom {
 	}
 }
 
-func (r *denseRandom) Kind() Kind { return Random }
-
 func (r *denseRandom) Len() int { return len(r.pages) }
 
 func (r *denseRandom) Contains(page model.PageID) bool { return r.index[page] >= 0 }
@@ -297,14 +262,6 @@ func (r *denseRandom) Evict() (model.PageID, bool) {
 	page := r.pages[i]
 	r.removeAt(page, int32(i))
 	return page, true
-}
-
-func (r *denseRandom) Remove(page model.PageID) {
-	i := r.index[page]
-	if i < 0 {
-		return
-	}
-	r.removeAt(page, i)
 }
 
 func (r *denseRandom) removeAt(page model.PageID, i int32) {

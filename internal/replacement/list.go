@@ -34,13 +34,6 @@ func newList(touchMoves bool) *listPolicy {
 	}
 }
 
-func (l *listPolicy) Kind() Kind {
-	if l.touchMoves {
-		return LRU
-	}
-	return FIFO
-}
-
 func (l *listPolicy) Len() int { return len(l.index) }
 
 func (l *listPolicy) Contains(page model.PageID) bool {
@@ -125,14 +118,4 @@ func (l *listPolicy) Evict() (model.PageID, bool) {
 	l.free = append(l.free, i)
 	delete(l.index, page)
 	return page, true
-}
-
-func (l *listPolicy) Remove(page model.PageID) {
-	i, ok := l.index[page]
-	if !ok {
-		return
-	}
-	l.unlink(i)
-	l.free = append(l.free, i)
-	delete(l.index, page)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // randomPolicy evicts a uniformly random resident page. It keeps pages in a
-// slice with a page->index map, so Insert, Remove, and Evict are all O(1)
+// slice with a page->index map, so Insert and Evict are both O(1)
 // (swap-with-last deletion).
 type randomPolicy struct {
 	pages []model.PageID
@@ -21,8 +21,6 @@ func newRandom(seed int64) *randomPolicy {
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
-
-func (r *randomPolicy) Kind() Kind { return Random }
 
 func (r *randomPolicy) Len() int { return len(r.pages) }
 
@@ -49,14 +47,6 @@ func (r *randomPolicy) Evict() (model.PageID, bool) {
 	page := r.pages[i]
 	r.removeAt(page, i)
 	return page, true
-}
-
-func (r *randomPolicy) Remove(page model.PageID) {
-	i, ok := r.index[page]
-	if !ok {
-		return
-	}
-	r.removeAt(page, i)
 }
 
 func (r *randomPolicy) removeAt(page model.PageID, i int) {

@@ -42,15 +42,10 @@ type Policy interface {
 	// Evict removes and returns the policy's victim. ok is false when no
 	// pages are tracked.
 	Evict() (page model.PageID, ok bool)
-	// Remove untracks a specific page (used when the simulator invalidates
-	// a page out of band). Removing an untracked page is a no-op.
-	Remove(page model.PageID)
 	// Contains reports whether the page is tracked.
 	Contains(page model.PageID) bool
 	// Len returns the number of tracked pages.
 	Len() int
-	// Kind returns the policy's kind.
-	Kind() Kind
 }
 
 // New constructs a policy of the given kind. The seed is used only by

@@ -25,8 +25,9 @@ import (
 //
 // Every decoded page is bounds-checked against the Reader's universe
 // limit and rejected on duplicates, so corrupt snapshots error cleanly.
-// The map-based policies from New intentionally have no checkpoint
-// support: they exist only for the uncompacted differential-test path.
+// The map-based policies from New have no checkpoint support: they back
+// core.RunReference, which never checkpoints, and serve as the dense
+// policies' test oracle.
 
 // SaveState implements snap.Saver.
 func (l *denseList) SaveState(w *snap.Writer) {

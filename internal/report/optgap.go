@@ -1,14 +1,12 @@
 package report
 
 // OptGapPoint is one windowed optimality sample for reporting: the
-// simulated tick, the live competitive-ratio estimate at that tick, and
-// the cumulative miss ratio at the configured HBM size. It mirrors
-// telemetry.OptPoint without importing it, keeping report a leaf
+// simulated tick and the live competitive-ratio estimate at that tick. It
+// mirrors telemetry.OptPoint without importing it, keeping report a leaf
 // package.
 type OptGapPoint struct {
-	Tick      float64
-	Ratio     float64
-	MissRatio float64
+	Tick  float64
+	Ratio float64
 }
 
 // OptGapSeries converts windowed optimality samples into a chart Series
@@ -20,14 +18,4 @@ func OptGapSeries(name string, pts []OptGapPoint) Series {
 		s.Y[i] = p.Ratio
 	}
 	return s
-}
-
-// OptGapTable renders windowed optimality samples as a table: one row
-// per window with the ratio and miss-ratio columns.
-func OptGapTable(title string, pts []OptGapPoint) *Table {
-	t := NewTable(title, "tick", "competitive ratio", "miss ratio")
-	for _, p := range pts {
-		t.AddRow(uint64(p.Tick), p.Ratio, p.MissRatio)
-	}
-	return t
 }

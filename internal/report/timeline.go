@@ -4,28 +4,10 @@ import (
 	"hbmsim/internal/telemetry"
 )
 
-// TimelineMetric names one per-window series derivable from a
-// telemetry.Timeline.
-type TimelineMetric string
-
-// Per-window metrics for TimelineSeries.
-const (
-	// MetricHitRate is hits/serves per window.
-	MetricHitRate TimelineMetric = "hit_rate"
-	// MetricAvgQueue is the mean end-of-tick DRAM-queue depth per window.
-	MetricAvgQueue TimelineMetric = "avg_queue"
-	// MetricChannelUtil is the fraction of far-channel slots used per
-	// window.
-	MetricChannelUtil TimelineMetric = "channel_util"
-	// MetricFairness is Jain's fairness index over per-core serve counts.
-	MetricFairness TimelineMetric = "jain_fairness"
-	// MetricServes is the raw serve count per window.
-	MetricServes TimelineMetric = "serves"
-)
-
-// TimelineSeries converts one windowed metric into a chartable Series:
-// x is the window's end tick, y the metric's value in that window.
-func TimelineSeries(name string, tl *telemetry.Timeline, metric TimelineMetric) Series {
+// TimelineSeries converts a Timeline into a chartable Series of Jain's
+// fairness index over per-core serve counts: x is the window's end tick,
+// y the index in that window.
+func TimelineSeries(name string, tl *telemetry.Timeline) Series {
 	wins := tl.Windows()
 	s := Series{
 		Name: name,
@@ -34,37 +16,8 @@ func TimelineSeries(name string, tl *telemetry.Timeline, metric TimelineMetric) 
 	}
 	for i := range wins {
 		w := &wins[i]
-		var y float64
-		switch metric {
-		case MetricHitRate:
-			y = w.HitRate()
-		case MetricAvgQueue:
-			y = w.AvgQueueDepth()
-		case MetricChannelUtil:
-			y = w.ChannelUtilization(tl.Channels())
-		case MetricServes:
-			y = float64(w.Serves)
-		default: // MetricFairness
-			y = w.JainFairness()
-		}
 		s.X = append(s.X, float64(w.End))
-		s.Y = append(s.Y, y)
+		s.Y = append(s.Y, w.JainFairness())
 	}
 	return s
-}
-
-// TimelineTable renders a Timeline as one row per window with the derived
-// per-window metrics (including Jain's fairness index for every window).
-func TimelineTable(title string, tl *telemetry.Timeline) *Table {
-	t := NewTable(title,
-		"window", "start", "end", "serves", "hit rate",
-		"avg queue", "max queue", "channel util", "fairness", "remaps")
-	wins := tl.Windows()
-	for i := range wins {
-		w := &wins[i]
-		t.AddRow(i, uint64(w.Start), uint64(w.End), w.Serves, w.HitRate(),
-			w.AvgQueueDepth(), w.MaxQueue, w.ChannelUtilization(tl.Channels()),
-			w.JainFairness(), w.Remaps)
-	}
-	return t
 }

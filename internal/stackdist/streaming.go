@@ -112,10 +112,8 @@ func nextPow2(n int) int {
 // Total returns the number of accesses observed.
 func (s *Streaming) Total() uint64 { return uint64(s.n) }
 
-// Cold returns the number of first-touch accesses.
-func (s *Streaming) Cold() uint64 { return s.cold }
-
-// Unique returns the number of distinct pages observed (== Cold).
+// Unique returns the number of distinct pages observed: the first-touch
+// accesses.
 func (s *Streaming) Unique() int { return len(s.last) }
 
 // FiniteReuses returns the number of accesses with a finite distance.

@@ -17,9 +17,9 @@ func TestStreamingHandCases(t *testing.T) {
 			t.Fatalf("access %d (page %d): distance %d, want %d", i, p, got, want[i])
 		}
 	}
-	if s.Total() != 7 || s.Cold() != 3 || s.Unique() != 3 || s.FiniteReuses() != 4 {
-		t.Fatalf("aggregates: total=%d cold=%d unique=%d finite=%d",
-			s.Total(), s.Cold(), s.Unique(), s.FiniteReuses())
+	if s.Total() != 7 || s.Unique() != 3 || s.FiniteReuses() != 4 {
+		t.Fatalf("aggregates: total=%d unique=%d finite=%d",
+			s.Total(), s.Unique(), s.FiniteReuses())
 	}
 }
 
@@ -34,8 +34,8 @@ func TestStreamingFirstTouches(t *testing.T) {
 			t.Fatalf("first touch of page %d: distance %d, want -1", i, d)
 		}
 	}
-	if s.Cold() != n || s.FiniteReuses() != 0 || s.MaxDistance() != 0 {
-		t.Fatalf("cold=%d finite=%d max=%d", s.Cold(), s.FiniteReuses(), s.MaxDistance())
+	if s.FiniteReuses() != 0 || s.MaxDistance() != 0 {
+		t.Fatalf("finite=%d max=%d", s.FiniteReuses(), s.MaxDistance())
 	}
 	for _, k := range []int{0, 1, 50, 1000} {
 		if got := s.Misses(k); got != n {

@@ -1,6 +1,6 @@
 // Package stats provides small streaming statistics used throughout the
-// simulator: Welford mean/variance accumulators, min/max tracking,
-// logarithmic histograms, and exact quantiles over retained samples.
+// simulator: Welford mean/variance accumulators, min/max tracking and
+// logarithmic histograms.
 //
 // The paper's "inconsistency" metric is the population standard deviation of
 // all response times; Welford's algorithm computes it in one pass with O(1)
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Welford accumulates a running mean and variance using Welford's
@@ -124,19 +123,8 @@ func (w *Welford) VariancePop() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// VarianceSample returns the sample variance (dividing by n-1).
-func (w *Welford) VarianceSample() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // StddevPop returns the population standard deviation.
 func (w *Welford) StddevPop() float64 { return math.Sqrt(w.VariancePop()) }
-
-// StddevSample returns the sample standard deviation.
-func (w *Welford) StddevSample() float64 { return math.Sqrt(w.VarianceSample()) }
 
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f stddev=%.3f min=%g max=%g",
@@ -245,70 +233,4 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.buckets[i] += c
 	}
 	h.total += o.total
-}
-
-// Sample retains every observation and answers exact quantiles. It is meant
-// for modest sample counts (per-core summaries, sweep outputs), not for the
-// per-request firehose.
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add records one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Quantile returns the q-quantile using linear interpolation between order
-// statistics. It returns 0 for an empty sample.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	if q <= 0 {
-		return s.xs[0]
-	}
-	if q >= 1 {
-		return s.xs[len(s.xs)-1]
-	}
-	pos := q * float64(len(s.xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s.xs[lo]
-	}
-	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Values returns the retained observations in ascending order.
-func (s *Sample) Values() []float64 {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
 }

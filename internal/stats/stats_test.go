@@ -39,9 +39,6 @@ func TestWelfordSingle(t *testing.T) {
 	if w.Min() != 42 || w.Max() != 42 {
 		t.Fatalf("min/max of single observation: %g/%g", w.Min(), w.Max())
 	}
-	if w.VarianceSample() != 0 {
-		t.Fatalf("sample variance of n=1 should be 0, got %g", w.VarianceSample())
-	}
 }
 
 func TestWelfordKnownValues(t *testing.T) {
@@ -266,48 +263,6 @@ func TestHistogramPropertyBucketBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSampleQuantiles(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if got := s.Quantile(0); got != 1 {
-		t.Errorf("q0: got %g", got)
-	}
-	if got := s.Quantile(1); got != 100 {
-		t.Errorf("q1: got %g", got)
-	}
-	if got := s.Quantile(0.5); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("median: got %g, want 50.5", got)
-	}
-	if got := s.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("mean: got %g, want 50.5", got)
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.N() != 0 {
-		t.Fatalf("empty sample should report zeros")
-	}
-}
-
-func TestSampleValuesSorted(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{3, 1, 2} {
-		s.Add(v)
-	}
-	vs := s.Values()
-	if vs[0] != 1 || vs[1] != 2 || vs[2] != 3 {
-		t.Fatalf("values not sorted: %v", vs)
-	}
-	// Adding after sorting must still work.
-	s.Add(0)
-	if got := s.Quantile(0); got != 0 {
-		t.Fatalf("quantile after post-sort add: got %g, want 0", got)
 	}
 }
 

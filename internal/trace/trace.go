@@ -276,22 +276,3 @@ func (m PageMapper) Pages(dst Trace, addrs []uint64) {
 		dst[i] = m.Page(a)
 	}
 }
-
-// Compact collapses consecutive repeats of the same page. The model serves
-// one reference per tick regardless, so a run of accesses within one page
-// still costs one tick each; Compact is an optional workload-shrinking
-// transformation for spatially local traces and is used by generators that
-// want block-level rather than word-level reference streams.
-func Compact(t Trace) Trace {
-	if len(t) == 0 {
-		return t
-	}
-	out := make(Trace, 0, len(t))
-	out = append(out, t[0])
-	for _, p := range t[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
-}

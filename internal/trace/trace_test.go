@@ -117,20 +117,3 @@ func TestPageMapper(t *testing.T) {
 		t.Error("negative page size should be rejected")
 	}
 }
-
-func TestCompact(t *testing.T) {
-	in := Trace{1, 1, 1, 2, 2, 1, 3}
-	got := Compact(in)
-	want := Trace{1, 2, 1, 3}
-	if len(got) != len(want) {
-		t.Fatalf("compact: got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("compact: got %v, want %v", got, want)
-		}
-	}
-	if len(Compact(nil)) != 0 {
-		t.Error("compact of empty should be empty")
-	}
-}
