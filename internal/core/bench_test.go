@@ -99,6 +99,34 @@ func BenchmarkSimPaper(b *testing.B) {
 	}
 }
 
+// BenchmarkNew measures construction alone (New: page compaction, the
+// ownership table, the store, policy, arbiter and backend) over the
+// shapes bench/ builds a Sim for: SpGEMM (p=32, N=96) and sort (p=32,
+// N=8000) from sim-paper, and dense MM (p=16, N=64) from sim-hitstretch.
+// Generation is outside the timer.
+func BenchmarkNew(b *testing.B) {
+	for _, shape := range []workloads.Spec{
+		{Gen: "spgemm", Cores: 32, Size: 96, Seed: 1},
+		{Gen: "sort", Cores: 32, Size: 8000, Seed: 1},
+		{Gen: "densemm", Cores: 16, Size: 64, Seed: 1},
+	} {
+		wl, err := shape.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := wl.Raw()
+		cfg := Config{HBMSlots: 1000, Channels: 1, Seed: 1}
+		b.Run(shape.Gen, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cfg, ts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchSim measures simulator throughput on the contended benchWorkload.
 func benchSim(b *testing.B, cfg Config) {
 	b.Helper()
