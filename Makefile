@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR21.json
+BENCH_OUT ?= BENCH_PR22.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
@@ -25,7 +25,7 @@ BENCH_OUT ?= BENCH_PR21.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR19.json
+BENCH_BASE ?= BENCH_PR21.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -71,9 +71,10 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The simulator is single-goroutine, but collectors may be handed to
-# callers that step simulations from multiple goroutines; keep the tree
-# race-clean.
+# The step loop is single-goroutine, but construction and workload
+# generation fan out per core (trace.Parallel), and collectors may be
+# handed to callers that step simulations from multiple goroutines; keep
+# the tree race-clean.
 test-race:
 	$(GO) test -race ./...
 
@@ -135,11 +136,13 @@ profile:
 	@echo "wrote profiles/cpu.out profiles/mem.out (binary: profiles/core.test)"
 
 # Short fuzzing pass over the trace codecs, page renumbering, the
-# checkpoint format, log recovery and result-cache entries.
+# construction scan, the checkpoint format, log recovery and
+# result-cache entries.
 fuzz:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzRenumber -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzCompact -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzResumeCorrupt -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=30s ./internal/core/
@@ -152,6 +155,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzRenumber -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
+	$(GO) test -fuzz=FuzzCompact -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzResumeCorrupt -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hbmsim/internal/model"
+	"hbmsim/internal/trace"
 )
 
 // TestMainHelperProcess re-execs this test binary as the hbmsim CLI when
@@ -126,5 +129,47 @@ func TestTruncationWarningNamesTheCap(t *testing.T) {
 	const want = "hbmsim: warning: core: simulation truncated at tick 4168 with 2 unfinished cores"
 	if !strings.Contains(out, want) {
 		t.Fatalf("output lacks %q:\n%s", want, out)
+	}
+}
+
+// TestSharedPagesExitOne: a three-core trace in which one reference in
+// ten of cores 1 and 2 goes to one of core 0's pages 0-7 breaks the
+// model's disjointness. The CLI must refuse it with exit 1 and the
+// one-line error trace.Workload.Validate words, not panic mid-run.
+func TestSharedPagesExitOne(t *testing.T) {
+	traces := make([]trace.Trace, 3)
+	for i := range traces {
+		traces[i] = make(trace.Trace, 200)
+		for j := range traces[i] {
+			traces[i][j] = model.PageID(1000*i + j%23)
+			if i > 0 && j%10 == 9 {
+				traces[i][j] = model.PageID(j % 8)
+			}
+		}
+	}
+	wl := trace.Raw("overlap", traces)
+	verr := wl.Validate()
+	if verr == nil {
+		t.Fatal("overlap workload is disjoint")
+	}
+	path := filepath.Join(t.TempDir(), "overlap.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteText(f, wl); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCLI(t, "-trace", path, "-k", "16", "-q", "1")
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("exit %v, want 1; output:\n%s", err, out)
+	}
+	want := "hbmsim: core: " + strings.TrimPrefix(verr.Error(), "trace: ")
+	if !strings.Contains(out, want) || strings.Contains(out, "goroutine") {
+		t.Fatalf("output lacks %q or dumps goroutines:\n%s", want, out)
 	}
 }

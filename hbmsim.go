@@ -200,12 +200,17 @@ func Run(cfg Config, wl *Workload) (*Result, error) {
 	return core.Run(cfg, wl.Raw())
 }
 
-// RunTraces is Run for raw per-core traces (which must be disjoint).
+// RunTraces is Run for raw per-core traces. The traces must be
+// disjoint: traces in which two cores reference one page are refused
+// with an error naming the page and both cores, as Workload.Validate
+// words it.
 func RunTraces(cfg Config, traces [][]PageID) (*Result, error) {
 	return core.Run(cfg, traces)
 }
 
-// NewSim builds a stepwise simulator for tick-by-tick inspection.
+// NewSim builds a stepwise simulator for tick-by-tick inspection. Like
+// Run and RunTraces, it refuses a workload in which two cores reference
+// one page, with an error naming the page and both cores.
 func NewSim(cfg Config, wl *Workload) (*Sim, error) {
 	return core.New(cfg, wl.Raw())
 }

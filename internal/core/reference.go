@@ -40,6 +40,11 @@ func RunReference(cfg Config, traces [][]model.PageID, obs Observer) (*Result, e
 	if k := cfg.Backend.WithDefaults().Kind; k != membackend.Reference {
 		return nil, fmt.Errorf("core: RunReference implements only the reference backend, not %q", k)
 	}
+	// Shared pages are refused with New's error; the renumbering the scan
+	// may make is discarded.
+	if _, _, _, err := compactTraces(traces); err != nil {
+		return nil, err
+	}
 	if obs == nil {
 		obs = NopObserver{}
 	}

@@ -18,8 +18,6 @@ package workloads
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
@@ -54,7 +52,7 @@ func build(name string, cores int, baseSeed int64, gen Gen, first model.PageID) 
 	traces := make([]trace.Trace, cores)
 	unique := make([]int, cores)
 	errs := make([]error, cores)
-	parallel(cores, func(i int) {
+	trace.Parallel(cores, func(i int) {
 		raw, err := gen(baseSeed + int64(i))
 		if err != nil {
 			errs[i] = err
@@ -76,7 +74,7 @@ func build(name string, cores int, baseSeed int64, gen Gen, first model.PageID) 
 		bases[i] = next
 		next += model.PageID(u)
 	}
-	parallel(cores, func(i int) {
+	trace.Parallel(cores, func(i int) {
 		if b := bases[i]; b != 0 {
 			tr := traces[i]
 			for j := range tr {
@@ -85,23 +83,6 @@ func build(name string, cores int, baseSeed int64, gen Gen, first model.PageID) 
 		}
 	})
 	return trace.Raw(name, traces), next - first, nil
-}
-
-// parallel calls f(0), ..., f(n-1) on up to GOMAXPROCS goroutines at a
-// time and returns once every call has returned.
-func parallel(n int, f func(i int)) {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f(i)
-		}()
-	}
-	wg.Wait()
 }
 
 // Imbalance truncates each core's trace to a fraction of its length that
