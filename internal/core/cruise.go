@@ -192,9 +192,8 @@ func (s *Sim) noteEager(page model.PageID, k uint64) {
 // the list head before each eviction and flushes when the head has a
 // deferred touch; under CLOCK it sets the deferred reference bits before
 // the hand moves. Every victim runs the cut check.
-func (s *Sim) evictCruising(need int, t model.Tick) bool {
+func (s *Sim) evictCruising(need int, t model.Tick) {
 	if s.keyed {
-		evicted := false
 		for n := need - s.assoc.Free(); n > 0; n-- {
 			h, ok := s.rec.Head()
 			if !ok {
@@ -205,18 +204,15 @@ func (s *Sim) evictCruising(need int, t model.Tick) bool {
 			}
 			pg, _ := s.assoc.Evict()
 			s.evicted(pg, t, t)
-			evicted = true
 		}
-		return evicted
+		return
 	}
 	if !s.touchNop && s.nCruising > 0 && need > s.assoc.Free() {
 		s.flush(t)
 	}
-	ev := s.store.EnsureRoom(need)
-	for _, pg := range ev {
+	for _, pg := range s.store.EnsureRoom(need) {
 		s.evicted(pg, t, t)
 	}
-	return len(ev) > 0
 }
 
 // cut ends the cruise of pg's owner just before its next reference to
