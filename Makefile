@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR22.json
+BENCH_OUT ?= BENCH_PR23.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
@@ -25,7 +25,7 @@ BENCH_OUT ?= BENCH_PR22.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR21.json
+BENCH_BASE ?= BENCH_PR22.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -34,8 +34,8 @@ BENCH_ALLOC_THRESHOLD ?= 25
 SMOKE_FUZZTIME ?= 5s
 
 # cover knobs: the overall floor is deliberately conservative; the
-# per-package floors cover the simulation kernel (tick loop, fast-forward
-# and cruising, checkpointing) and the optimality-telemetry layer this repo's
+# per-package floors cover the simulation kernel (tick loop, cruising
+# and its jumps, checkpointing) and the optimality-telemetry layer this repo's
 # correctness argument leans on hardest, plus the tracing/introspection
 # layer operators debug production incidents with, plus the result cache
 # and the sweep-sharding coordinator the fleet's correctness rests on, plus

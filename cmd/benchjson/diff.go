@@ -36,8 +36,8 @@ type diffRow struct {
 // work on any host and under any optimisation, so a change to either
 // between two snapshots that both carry it fails the diff whatever the
 // timings say. listedCounts are printed but not gated: they describe how
-// the simulator executed the run (ticks fast-forwarded or jumped, serves
-// cruised), which an optimisation may rightly change.
+// the simulator executed the run (ticks jumped, serves cruised), which
+// an optimisation may rightly change.
 var (
 	gatedCounts  = []string{"ticks/op", "evictions/op"}
 	listedCounts = []string{"ff_ticks/op", "cruised/op"}

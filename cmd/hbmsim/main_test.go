@@ -55,7 +55,7 @@ func TestLoadWorkloadModes(t *testing.T) {
 // registry fills with simulator counters, and /progress ends at
 // completion. On the hit-stretch shape — dense MM at half its unique
 // pages — the folding Meter must also keep exactly the bare simulator's
-// fast-forwarded ticks.
+// jumped ticks.
 func TestRunObservedWithMetricsMatchesPlain(t *testing.T) {
 	for _, tc := range []struct {
 		name        string

@@ -50,8 +50,8 @@ type telemetryOptions struct {
 const refreshTicks = 1024
 
 // runStats carries execution telemetry that lives outside the Result:
-// wall-clock duration of the step loop, the fast-forward counters and
-// the cruised serves.
+// wall-clock duration of the step loop, the jump counters and the
+// cruised serves.
 type runStats struct {
 	elapsed     time.Duration
 	ffTicks     uint64
@@ -80,8 +80,8 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 	if err != nil {
 		return nil, nil, rs, err
 	}
-	// The checkpoint cadence is polled between Steps, so the fast-forward
-	// path must never jump across a multiple of it.
+	// The checkpoint cadence is polled between Steps, so a cruising run
+	// must never jump across a multiple of it.
 	sim.SetBoundary(opts.checkpointEvery)
 
 	multi := hbmsim.NewMultiObserver()
@@ -149,8 +149,8 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 		multi.Attach(hbmsim.NewMeter(opts.metrics))
 	}
 	// /progress is refreshed from the simulator's cursors between Steps,
-	// not by an observer, so it costs the fast-forward path nothing and
-	// counts the serves a resumed run does not replay.
+	// not by an observer, so it costs the step loop nothing and counts
+	// the serves a resumed run does not replay.
 	var refreshProgress func()
 	if opts.progress != nil {
 		opts.progress.SetPhase("simulate", int(opts.totalRefs))

@@ -134,8 +134,8 @@ func TestBackendCheckpointRoundTrip(t *testing.T) {
 
 // TestBackendFastForwardInFlight pins the NextEventTick integration: on
 // a hit-heavy workload a slow backend holds transfers in flight for many
-// ticks while other cores keep hitting, and the batched stepper must
-// both engage there and stay bit-identical to single-tick stepping.
+// ticks while other cores keep hitting, and an observed cruising run
+// must both jump there and stay bit-identical to single-tick stepping.
 func TestBackendFastForwardInFlight(t *testing.T) {
 	ts := hitHeavyWorkload(3, 400, 5)
 	for name, cfg := range backendConfigs() {

@@ -122,8 +122,8 @@ func testCheckpointResume(t *testing.T, cfg Config, ts [][]model.PageID) {
 	}
 	recInt := &streamRecorder{}
 	interrupted.SetObserver(recInt)
-	// Declare the checkpoint cadence so the fast-forward path cannot jump
-	// past the checkpoint tick mid-stretch (the uninterrupted run stays
+	// Declare the checkpoint cadence so a cruising run cannot jump past
+	// the checkpoint tick mid-stretch (the uninterrupted run stays
 	// unbounded — the constraint must not change what is simulated).
 	const ckptTick = 9
 	interrupted.SetBoundary(ckptTick)

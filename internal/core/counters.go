@@ -7,11 +7,11 @@ import (
 )
 
 // Counters is the simulator's ledger: plain integer counts of what the
-// run did, each relative to its value at New or Resume. Like the
-// fast-forward counters it describes how the run went, not what it
+// run did, each relative to its value at New or Resume. Like the jump
+// and cruise counters it describes how the run went, not what it
 // computed, so it is in neither Result nor snapshots.
 type Counters struct {
-	// Executed ticks (slow and fast-forwarded), serves, and serves with
+	// Executed ticks (stepped and jumped), serves, and serves with
 	// response time 1.
 	Ticks, Serves, Hits uint64
 	// Requests entering the DRAM queue: a page evicted before its serve
@@ -20,8 +20,7 @@ type Counters struct {
 	// Far-channel grants, landed transfers, pages evicted from HBM, and
 	// priority re-draws.
 	Grants, Fetches, Evictions, Remaps uint64
-	// Ticks and stretches batched by the fast-forward path; in a
-	// cruising run (see Sim.Step), the ticks jumped and the jumps.
+	// Ticks a cruising run jumped (see Sim.Step), and the jumps.
 	FFTicks, FFStretches uint64
 	// Serves folded by cruising cores rather than stepped one by one.
 	Cruised uint64

@@ -120,7 +120,7 @@ func RunReference(cfg Config, traces [][]model.PageID, obs Observer) (*Result, e
 		truncated bool
 		// Exact integer queue-depth accumulation, mirroring Sim: the two
 		// implementations must agree bit-for-bit, and a streaming float
-		// mean would diverge from Sim's closed-form fast-forward fold.
+		// mean would diverge from the zero-depth samples Sim folds per jump.
 		queueSum   uint64
 		queueTicks uint64
 	)

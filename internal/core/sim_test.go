@@ -276,7 +276,7 @@ func TestStepwiseAPI(t *testing.T) {
 	last := model.Tick(0)
 	for s.Step() {
 		steps++
-		// A Step may fast-forward several ticks, but never zero or
+		// A Step may jump several ticks, but never zero or
 		// backwards, and never more Steps than ticks.
 		if tk := s.Tick(); tk <= last {
 			t.Fatalf("tick counter did not advance: %d after %d", tk, last)

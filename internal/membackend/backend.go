@@ -113,11 +113,11 @@ type Backend interface {
 
 	// NextEventTick returns the earliest tick at which an in-flight
 	// transfer completes, or 0 when nothing is in flight. The value is
-	// non-decreasing between Starts. The fast-forward batcher uses it to
-	// fold contention-free stretches that end exactly at the next
-	// completion; a backend that cannot predict its next completion may
-	// conservatively return now (disabling fast-forward), never a tick
-	// later than the true completion.
+	// non-decreasing between Starts. A cruising run's jump uses it to
+	// skip quiet ticks up to, not onto, the next completion; a backend
+	// that cannot predict its next completion may conservatively return
+	// now (disabling the jump), never a tick later than the true
+	// completion.
 	NextEventTick(now model.Tick) model.Tick
 
 	// SaveState/LoadState serialise the backend's dynamic state into a

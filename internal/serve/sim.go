@@ -44,15 +44,14 @@ func (s *Service) runSim(ctx context.Context, j *job) (*Payload, error) {
 		return nil, err
 	}
 	every := model.Tick(s.checkpointEvery(j))
-	// The snapshot cadence is polled between Steps; forbid the simulator's
-	// fast-forward path from jumping across a checkpoint tick.
+	// The snapshot cadence is polled between Steps; forbid a cruising
+	// run from jumping across a checkpoint tick.
 	sim.SetBoundary(every)
 
 	// Progress is read from the simulator's cursors between Steps, so a
-	// job attaches no observer unless it tracks the optimality gap, and
-	// its contention-free stretches stay batched. Counting from the
-	// cursors also credits the serves a resumed run does not replay, so
-	// progress is monotone across restarts.
+	// job attaches no observer unless it tracks the optimality gap.
+	// Counting from the cursors also credits the serves a resumed run
+	// does not replay, so progress is monotone across restarts.
 	prog := &simProgress{svc: s, job: j, total: int(wl.TotalRefs()), start: time.Now()}
 	if s.opts.TrackOptGap {
 		// Gauges in the shared registry are last-writer-wins across

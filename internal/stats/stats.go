@@ -161,8 +161,8 @@ func (h *Histogram) Add(x uint64) {
 // AddN records n identical observations of x in O(1): the result is
 // bit-identical to calling Add(x) n times (bucket counts are exact
 // integers, so batching cannot drift). It exists for the simulator's
-// fast-forward path, which folds a stretch of unit response times into
-// the histogram in one call.
+// cruising cores, whose runs of unit response times fold into the
+// histogram in one call.
 func (h *Histogram) AddN(x, n uint64) {
 	if n == 0 {
 		return

@@ -18,8 +18,8 @@ import (
 // eventMeter is the event-counting reference for the Meter: the
 // callbacks the Meter had before it read the simulator's ledger,
 // counting into a Meter's instruments. It is not a CounterObserver, so
-// the simulator sends it every event, replaying fast-forwarded stretches
-// tick by tick.
+// the simulator sends it every event, cruising cores' serves and jumped
+// ticks included.
 type eventMeter struct{ m *Meter }
 
 func (e eventMeter) OnQueue(model.CoreID, model.PageID, model.Tick) { e.m.misses.Inc() }
@@ -76,10 +76,10 @@ func exposition(t *testing.T, reg *metrics.Registry) []byte {
 // replacement policy x arbiter x far-memory backend, a Meter attached
 // alone, which reads the ledger the simulator folds its counts into,
 // leaves a /metrics exposition byte-identical to the event-counting
-// reference fed every event tick by tick (with the fast-forward and
-// cruise counters, which no event carries, read off the metered
-// simulator). Fast-forward or cruising must engage in every cell, or the
-// comparison is vacuous.
+// reference fed every event tick by tick (with the jump and cruise
+// counters, which no event carries, read off the metered simulator).
+// Jumps or cruising must engage in every cell, or the comparison is
+// vacuous.
 func TestMeterFoldMatchesReplay(t *testing.T) {
 	// 48 pages over 44 slots: evictions and contended ticks between
 	// stretches in every cell, over several of the Meter's 1024-tick

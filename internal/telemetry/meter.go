@@ -11,7 +11,7 @@ import (
 // another goroutine. It receives no events, so attaching it leaves the
 // step loop as it runs unobserved. It adds each ledger's change since the
 // previous one, so live values lag the run by up to 1024 ticks (or one
-// fast-forwarded stretch) and are exact at run end.
+// jump of a cruising run) and are exact at run end.
 //
 // Registered series (all but the core_ series prefixed hbmsim_):
 //
@@ -26,10 +26,8 @@ import (
 //	hbmsim_queue_depth_refs   histogram of end-of-tick DRAM-queue depth
 //	hbmsim_response_ticks     histogram of per-reference response times
 //	hbmsim_grant_wait_ticks   histogram of ticks spent queued before a grant
-//	core_ff_ticks_total       ticks executed by the fast-forward path, or
-//	                          jumped by a cruising run
-//	core_ff_stretches_total   stretches batched by the fast-forward path,
-//	                          or jumps of a cruising run
+//	core_ff_ticks_total       ticks jumped by a cruising run
+//	core_ff_stretches_total   jumps of a cruising run
 //	core_cruised_serves_total serves folded by cruising cores
 //
 // A Meter follows one simulation; Meters sharing a registry accumulate.
@@ -59,8 +57,8 @@ func NewMeter(reg *metrics.Registry) *Meter {
 		evictions:   reg.Counter("hbmsim_evictions_total", "pages evicted from HBM"),
 		grants:      reg.Counter("hbmsim_grants_total", "far-channel grants issued"),
 		remaps:      reg.Counter("hbmsim_remaps_total", "priority permutation re-draws"),
-		ffTicks:     reg.Counter("core_ff_ticks_total", "simulation ticks executed by the core fast-forward path or jumped by a cruising run"),
-		ffStretches: reg.Counter("core_ff_stretches_total", "contention-free stretches batched by the core fast-forward path or jumps of a cruising run"),
+		ffTicks:     reg.Counter("core_ff_ticks_total", "simulation ticks jumped by a cruising run, with no core active and the DRAM queue empty"),
+		ffStretches: reg.Counter("core_ff_stretches_total", "jumps of a cruising run over ticks on which only cruising cores are served"),
 		cruised:     reg.Counter("core_cruised_serves_total", "serves folded by cruising cores instead of stepped tick by tick"),
 		queueDepth: reg.Histogram("hbmsim_queue_depth_refs", "end-of-tick DRAM queue depth in queued references",
 			metrics.ExpBuckets(1, 2, 12)), // 1..2048, +Inf
