@@ -73,19 +73,23 @@ type cruiseState struct {
 	ends []cruiseEnd
 
 	// Deferred LRU recency (keyed is set for LRU only). A list operation
-	// at tick t has key 2*(t*stride + sub) + d, where sub is the core
-	// index for a step-4 touch and cores + i for the i-th step-5 insert,
-	// and d is 1 for a deferred touch. last is each page's latest key,
-	// eager or materialised; deferred keys at or above fk are not yet in
-	// the list. elog holds the eager operations since the last flush,
-	// pend the materialised deferred touches.
-	keyed      bool
-	assoc      *hbm.Assoc
-	rec        replacement.Recency
-	stride     uint64
-	last       []uint64
-	fk         uint64
-	elog, pend []keyedPage
+	// at tick t has key 2*((t-epoch)*stride + sub) + d, where epoch is
+	// the tick of the last flush (or of Resume), sub is the core index
+	// for a step-4 touch and cores + i for the i-th step-5 insert, and d
+	// is 1 for a deferred touch. last is each page's latest key since
+	// the last flush, eager or materialised, and 0 for a page with none
+	// (flush zeroes the pages in its logs); a materialised deferred key
+	// is not in the list yet. elog holds the eager operations since the
+	// last flush, pend the materialised deferred touches. trimLogs
+	// flushes once a tick lies keyRoom ticks past the epoch, so keys fit
+	// in 64 bits under any tick cap.
+	keyed          bool
+	assoc          *hbm.Assoc
+	rec            replacement.Recency
+	stride         uint64
+	epoch, keyRoom model.Tick
+	last           []uint64
+	elog, pend     []keyedPage
 	// Scratch of sortPending and of flush's relink.
 	cnt    []int32
 	sorted []keyedPage
@@ -125,25 +129,25 @@ const (
 )
 
 // initCruise engages cruising, on per-core storage New allocated with
-// its own: p ints and 2p ticks. Under LRU it needs recency keys that fit
-// in 64 bits, and allocates their state apart, so a run that stops
-// cruising can drop it.
+// its own: p ints and 2p ticks. Under LRU it allocates the recency
+// keys' state apart, so a run that stops cruising can drop it.
 func (s *Sim) initCruise(ints []int, ticks []model.Tick) {
 	p := len(s.cores)
 	s.stride = uint64(p + s.backend.MaxInFlight() + 1)
 	s.assoc, _ = s.store.(*hbm.Assoc)
 	lru := s.assoc != nil && s.cfg.Replacement == replacement.LRU
-	if lru && uint64(s.capT) >= math.MaxUint64/(2*s.stride)-2 {
-		return
-	}
 	s.cMat = ints
 	s.cStart, s.cEnd = ticks[:p:p], ticks[p:]
 	s.ends = make([]cruiseEnd, 0, 2*p)
 	if lru {
 		s.rec = s.assoc.Recency()
 		s.keyed = true
+		// A key at epoch+T ticks is below 2*stride*(T+1), and one tick's
+		// cruises end at most cruiseMaxRun ticks on. (New allocates
+		// MaxInFlight transfers, so the stride stays far below the
+		// 2^53 that would leave no room.)
+		s.keyRoom = model.Tick(math.MaxUint64/(2*s.stride)) - cruiseMaxRun
 		s.last = make([]uint64, s.universe)
-		s.fk = 1
 		// The logs and the sort's scratch share one allocation, with
 		// room for the backlog and what one tick adds to it; the
 		// counting sort's buckets grow on the first flush that needs
@@ -157,12 +161,22 @@ func (s *Sim) initCruise(ints []int, ticks []model.Tick) {
 
 // key returns the recency key of an eager list operation at tick t;
 // a deferred touch's key is one more.
-func (s *Sim) key(t model.Tick, sub int) uint64 { return 2 * (uint64(t)*s.stride + uint64(sub)) }
+func (s *Sim) key(t model.Tick, sub int) uint64 {
+	return 2 * (uint64(t-s.epoch)*s.stride + uint64(sub))
+}
 
-// trimLogs bounds the recency logs before tick t adds to them: past
-// flushBacklog entries per core it drops the superseded ones, and if
-// that frees less than half, it flushes the touches deferred before t.
+// trimLogs bounds the recency logs and keys before tick t adds to them:
+// keyRoom ticks past the epoch it flushes, which starts a new epoch at t;
+// past flushBacklog entries per core it drops the superseded ones, and
+// if that frees less than half, it flushes the touches deferred before t.
 func (s *Sim) trimLogs(t model.Tick) {
+	if !s.keyed {
+		return
+	}
+	if t-s.epoch >= s.keyRoom {
+		s.flush(t)
+		return
+	}
 	backlog := flushBacklog * len(s.cores)
 	if len(s.elog)+len(s.pend) <= backlog {
 		return
@@ -245,9 +259,10 @@ func (s *Sim) cut(pg model.PageID, next model.Tick) {
 }
 
 // pending reports whether page h, the LRU head at step 3 of tick t, has
-// a deferred touch the list does not hold yet.
+// a deferred touch the list does not hold yet: a materialised one since
+// the last flush, or one its cruising owner has not materialised.
 func (s *Sim) pending(h model.PageID, t model.Tick) bool {
-	if k := s.last[h]; k >= s.fk && k&1 == 1 {
+	if s.last[h]&1 == 1 {
 		return true
 	}
 	o := model.CoreID(s.ownerOf[h])
@@ -360,7 +375,8 @@ func (s *Sim) fold(o model.CoreID, T model.Tick) {
 // LRU it then relinks the list into the order per-tick touching leaves:
 // the deferred touches, in key order, merged into the tail of eager
 // operations since the last flush (already in key order), each page at
-// its last operation.
+// its last operation. It then clears the logged pages' keys, the only
+// ones set since the last flush, and starts a new epoch at upTo.
 func (s *Sim) flush(upTo model.Tick) {
 	for o, ts := range s.cStart {
 		if ts != 0 {
@@ -395,20 +411,25 @@ func (s *Sim) flush(upTo model.Tick) {
 		s.rec.Relink(order)
 		s.relink = order
 	}
+	for _, x := range s.elog {
+		s.last[x.page] = 0
+	}
+	for _, x := range s.pend {
+		s.last[x.page] = 0
+	}
 	s.pend, s.elog = s.pend[:0], s.elog[:0]
-	s.fk = s.key(upTo, 0)
+	s.epoch = upTo
 }
 
-// sortPending returns d, deferred touches at ticks from the last flush
-// up to upTo, sorted by key: a counting sort on the tick, then an insertion pass
-// for the core order within each tick (d holds one backwards run per
-// core and cruise, so ticks shared by several cores are the only
-// inversions left). A long gap since the last flush falls back to a
-// comparison sort.
+// sortPending returns d, deferred touches at ticks from the epoch up to
+// upTo, sorted by key: a counting sort on the tick since the epoch, then
+// an insertion pass for the core order within each tick (d holds one
+// backwards run per core and cruise, so ticks shared by several cores
+// are the only inversions left). A long gap since the epoch falls back
+// to a comparison sort.
 func (s *Sim) sortPending(d []keyedPage, upTo model.Tick) []keyedPage {
 	per := 2 * s.stride // keys per tick
-	lo := s.fk / per
-	span := uint64(upTo) - lo + 1
+	span := uint64(upTo-s.epoch) + 1
 	if span > 4*uint64(len(d))+64 {
 		slices.SortFunc(d, func(a, b keyedPage) int { return cmp.Compare(a.key, b.key) })
 		return d
@@ -419,14 +440,14 @@ func (s *Sim) sortPending(d []keyedPage, upTo model.Tick) []keyedPage {
 	cnt := s.cnt[:span+1]
 	clear(cnt)
 	for _, e := range d {
-		cnt[e.key/per-lo+1]++
+		cnt[e.key/per+1]++
 	}
 	for i := 1; i < len(cnt); i++ {
 		cnt[i] += cnt[i-1]
 	}
 	out := append(s.sorted[:0], d...)
 	for _, e := range d {
-		b := e.key/per - lo
+		b := e.key / per
 		out[cnt[b]] = e
 		cnt[b]++
 	}
