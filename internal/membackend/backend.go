@@ -29,9 +29,9 @@
 //
 // Every backend is single-goroutine, allocation-free in steady state,
 // fully deterministic, and checkpointable through internal/snap; the
-// shared contract is pinned by RunBackendConformance, which new
-// backends should pass before being registered (see BACKENDS.md for the
-// authoring walkthrough).
+// shared contract is pinned by RunBackendConformance (conformance_test.go),
+// which new backends should pass before being registered (see BACKENDS.md
+// for the authoring walkthrough).
 package membackend
 
 import (
