@@ -5,9 +5,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// Use cmd/hbmsweep or cmd/paperrepro for the full-size tables themselves;
-// the benchmarks exist to time the harness and to pin each artifact to a
-// reproducible entry point.
+// Use cmd/hbmsweep for the full-size tables themselves (`-exp all` runs
+// every one); the benchmarks exist to time the harness and to pin each
+// artifact to a reproducible entry point.
 package hbmsim_test
 
 import (

@@ -1,12 +1,15 @@
 // Command hbmsweep regenerates the paper's evaluation artifacts (figures,
-// tables, and ablations) from named experiments.
+// tables, and ablations) from named experiments, and prints each one's
+// paper claim next to the measured result.
 //
 // Usage:
 //
 //	hbmsweep -exp fig2a                 # one experiment, default scale
-//	hbmsweep -exp all -full             # the whole suite at paper scale
+//	hbmsweep -exp all                   # every experiment, in paper order (minutes)
+//	hbmsweep -exp all -full             # the whole suite at paper scale (hours)
+//	hbmsweep -exp all -md               # Markdown, as EXPERIMENTS.md records it
 //	hbmsweep -list                      # list experiment ids
-//	hbmsweep -exp fig3 -csv out.csv     # also dump the first table as CSV
+//	hbmsweep -exp fig3 -csv out.csv     # also dump the tables as CSV
 package main
 
 import (
@@ -39,6 +42,7 @@ func main() {
 		csvPath   = flag.String("csv", "", "write the experiments' tables as CSV to this file")
 		svgDir    = flag.String("svg", "", "write each figure's chart as <id>.svg into this directory")
 		chart     = flag.Bool("chart", true, "render ASCII charts for figures")
+		markdown  = flag.Bool("md", false, "print Markdown (claim, result, runtime and tables per experiment; no charts), as EXPERIMENTS.md records it")
 		sortN     = flag.Int("sortn", 0, "override sort workload size")
 		spgemmN   = flag.Int("spgemmn", 0, "override SpGEMM dimension")
 		backend   = flag.String("backend", "", "run every experiment under this far-memory model: reference|bandwidth|hybrid (empty = each experiment's own choice)")
@@ -193,6 +197,9 @@ func main() {
 		csv = f
 	}
 
+	if *markdown {
+		fmt.Printf("Reproducing every table and figure (seed=%d, full=%v)\n", *seed, *full)
+	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		if intro != nil {
@@ -205,8 +212,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hbmsweep: %s: %v\n", id, err)
 			os.Exit(1)
 		}
-		slog.Info("experiment finished", "id", id, "elapsed", time.Since(t0).Round(time.Millisecond))
-		printOutcome(out, *chart)
+		elapsed := time.Since(t0).Round(time.Millisecond)
+		slog.Info("experiment finished", "id", id, "elapsed", elapsed)
+		if *markdown {
+			printMarkdown(out, elapsed)
+		} else {
+			printOutcome(out, *chart)
+		}
 		if csv != nil {
 			for _, t := range out.Tables {
 				if err := t.WriteCSV(csv); err != nil {
@@ -342,5 +354,36 @@ func printOutcome(out *experiments.Outcome, chart bool) {
 			fmt.Fprintf(os.Stderr, "hbmsweep: rendering chart: %v\n", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// printMarkdown prints one experiment as a section of EXPERIMENTS.md:
+// its heading, claim, result and runtime, then its tables.
+func printMarkdown(out *experiments.Outcome, elapsed time.Duration) {
+	fmt.Printf("\n## %s — %s\n\n", out.ID, out.Title)
+	fmt.Printf("- **Paper:** %s\n", out.PaperClaim)
+	fmt.Printf("- **Measured:** %s\n", out.Headline)
+	fmt.Printf("- **Runtime:** %s\n\n", elapsed)
+	for _, t := range out.Tables {
+		if t.Title != "" {
+			fmt.Printf("**%s**\n\n", t.Title)
+		}
+		fmt.Print("|")
+		for _, h := range t.Headers {
+			fmt.Printf(" %s |", h)
+		}
+		fmt.Print("\n|")
+		for range t.Headers {
+			fmt.Print("---|")
+		}
+		fmt.Println()
+		for _, row := range t.Rows() {
+			fmt.Print("|")
+			for _, c := range row {
+				fmt.Printf(" %s |", c)
+			}
+			fmt.Println()
+		}
+		fmt.Println()
 	}
 }

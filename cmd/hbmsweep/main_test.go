@@ -3,7 +3,10 @@ package main
 import (
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,5 +100,50 @@ func TestIntrospectionServesLiveSweep(t *testing.T) {
 	prog := fetch("/progress")
 	if !strings.Contains(prog, `"phase": "fig2a"`) {
 		t.Errorf("/progress missing phase:\n%s", prog)
+	}
+}
+
+// TestExperimentsDocMatchesRegistry holds EXPERIMENTS.md to the
+// registry: a "## <id> — " section for every experiment, in IDs() order,
+// the order `hbmsweep -exp all -md` regenerates them in.
+func TestExperimentsDocMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(doc), "\n")
+	prev, prevID := -1, ""
+	for _, id := range experiments.IDs() {
+		at := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "## "+id+" — ") })
+		switch {
+		case at < 0:
+			t.Errorf("EXPERIMENTS.md has no %q section", "## "+id+" — ")
+			continue
+		case at < prev:
+			t.Errorf("EXPERIMENTS.md puts %s (line %d) before %s (line %d), against the registry's order", id, at+1, prevID, prev+1)
+		}
+		prev, prevID = at, id
+	}
+}
+
+// TestMarkdownOutput runs `hbmsweep -md` on two fast experiments: a
+// header line, then per experiment its section heading, claim, result
+// and runtime, and its tables as Markdown, with no chart.
+func TestMarkdownOutput(t *testing.T) {
+	out, err := exec.Command(sweepBinary(t), "-exp", "table2a,fig6", "-md", "-seed", "3").Output()
+	if err != nil {
+		t.Fatalf("hbmsweep -md: %v", err)
+	}
+	s := string(out)
+	if want := "Reproducing every table and figure (seed=3, full=false)\n\n## table2a — "; !strings.HasPrefix(s, want) {
+		t.Fatalf("output starts %q, want %q", s[:min(len(s), 80)], want)
+	}
+	for _, want := range []string{"\n## fig6 — ", "\n- **Paper:** ", "\n- **Measured:** ", "\n- **Runtime:** ", "\n|---|"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output lacks %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(s, "== ") {
+		t.Errorf("Markdown output holds a plain-text heading or chart:\n%s", s)
 	}
 }

@@ -80,34 +80,6 @@ func TestUniversalHashSpreads(t *testing.T) {
 	}
 }
 
-func TestCacheDirectMapped(t *testing.T) {
-	c, err := NewCache(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Access(5) {
-		t.Fatal("first access cannot hit")
-	}
-	if !c.Access(5) {
-		t.Fatal("second access to the same page must hit")
-	}
-	// A colliding page evicts the occupant.
-	var collider model.PageID
-	for p := model.PageID(6); ; p++ {
-		if c.hash.Hash(uint64(p)) == c.hash.Hash(5) {
-			collider = p
-			break
-		}
-	}
-	c.Access(collider)
-	if c.Access(5) {
-		t.Fatal("page 5 should have been evicted by its slot collider")
-	}
-	if _, err := NewCache(0, 1); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-}
-
 func TestTransformErrors(t *testing.T) {
 	if _, err := NewTransform(0, replacement.LRU, 4, 1); err == nil {
 		t.Fatal("k=0 accepted")

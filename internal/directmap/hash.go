@@ -5,16 +5,14 @@
 // cache of size Θ(k), using a 2-universal hash table (with chaining) for
 // associativity and a doubly-linked list for the replacement order.
 //
-// The package provides two simulators —
-//
-//   - Cache: a plain direct-mapped cache (what HBM hardware actually is);
-//   - Transform: the transformed program of Lemma 1, whose *own* metadata
-//     and data accesses are pushed through a direct-mapped cache of size
-//     Θ(k) so its constant-factor overhead can be measured;
-//
-// — plus the measurement hooks the abl-dmap experiment uses to verify the
-// lemma's O(1) expected overhead empirically, against the
-// fully-associative baseline the theory speaks about (hbm.Assoc).
+// It provides the 2-universal hash family, which hbm.DirectMapped (a plain
+// direct-mapped cache, what HBM hardware actually is) also draws from,
+// and Transform: the transformed program of Lemma 1, whose *own*
+// metadata and data accesses are pushed through a direct-mapped cache of
+// size Θ(k) so its constant-factor overhead can be measured. The
+// directmap experiment uses its measurement hooks to verify the lemma's
+// O(1) expected overhead empirically, against the fully-associative
+// baseline the theory speaks about (hbm.Assoc).
 package directmap
 
 import (

@@ -14,17 +14,21 @@ import (
 // table with chaining (associativity), a doubly-linked list (replacement
 // order), and k data blocks (the Cache-DRAM bijection targets). Every
 // metadata and data block access the transformation performs is pushed
-// through an internal direct-mapped cache of size Θ(k), so the lemma's
-// claimed constant-factor overhead can be measured:
+// through a direct-mapped cache of size Θ(k), so the lemma's claimed
+// constant-factor overhead can be measured:
 //
 //	(1) each hit in the original causes O(1) accesses and ~no misses in
 //	    the transformed program (in expectation), and
 //	(2) each miss in the original causes O(1) misses.
 type Transform struct {
-	k      int
-	isLRU  bool
-	hash   UniversalHash
-	dm     *Cache // the direct-mapped cache of size factor*k
+	k     int
+	isLRU bool
+	hash  UniversalHash
+	// dm is the direct-mapped cache of factor*k blocks the transformed
+	// program runs on: block a may live only in slot dmHash(a), and a
+	// miss replaces the slot's block (noBlock while empty).
+	dm     []model.PageID
+	dmHash UniversalHash
 	bucket []int32
 	nodes  []xnode
 	free   []int32
@@ -91,6 +95,10 @@ func (s TransformStats) AvgChain() float64 {
 
 const nilIdx int32 = -1
 
+// noBlock marks an empty slot of the transform's direct-mapped cache;
+// block addresses stay below 3k.
+const noBlock = ^model.PageID(0)
+
 // NewTransform builds the transformed program for a simulated
 // fully-associative HBM of k pages under the given replacement kind (LRU
 // or FIFO — the two policies Lemma 1 covers). factor scales the
@@ -110,7 +118,7 @@ func NewTransform(k int, kind replacement.Kind, factor int, seed int64) (*Transf
 	if err != nil {
 		return nil, err
 	}
-	dm, err := NewCache(factor*k, seed+1)
+	dmHash, err := NewUniversalHash(uint64(factor*k), rand.New(rand.NewSource(seed+1)))
 	if err != nil {
 		return nil, err
 	}
@@ -118,12 +126,16 @@ func NewTransform(k int, kind replacement.Kind, factor int, seed int64) (*Transf
 		k:      k,
 		isLRU:  kind == replacement.LRU,
 		hash:   h,
-		dm:     dm,
+		dm:     make([]model.PageID, factor*k),
+		dmHash: dmHash,
 		bucket: make([]int32, k),
 		nodes:  make([]xnode, k),
 		free:   make([]int32, 0, k),
 		head:   nilIdx,
 		tail:   nilIdx,
+	}
+	for i := range t.dm {
+		t.dm[i] = noBlock
 	}
 	for i := range t.bucket {
 		t.bucket[i] = nilIdx
@@ -145,8 +157,9 @@ func (t *Transform) dataAddr(n int32) model.PageID {
 // cache and accounts for it.
 func (t *Transform) touch(addr model.PageID) {
 	t.stats.InducedAccesses++
-	if !t.dm.Access(addr) {
+	if s := t.dmHash.Hash(uint64(addr)); t.dm[s] != addr {
 		t.stats.InducedMisses++
+		t.dm[s] = addr
 	}
 }
 

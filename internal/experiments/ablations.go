@@ -13,21 +13,10 @@ import (
 	"hbmsim/internal/workloads"
 )
 
-func init() {
-	register("channels", ablChannels)
-	register("replacement", ablReplacement)
-	register("permuters", ablPermuters)
-	register("imbalance", ablImbalance)
-	register("directmap", ablDirectMapped)
-}
-
 // ablChannels sweeps the far-channel count q from 1 to 10 (the paper's
 // "number of channels to DRAM (1-10)" dimension and the regime of
 // Theorem 3's O(q) bound) for FIFO and Priority on SpGEMM.
 func ablChannels(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -85,9 +74,6 @@ func ablChannels(o Options) (*Outcome, error) {
 // both arbiters — the paper's theory keeps LRU throughout but names the
 // classical alternatives (§2).
 func ablReplacement(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -145,9 +131,6 @@ func ablReplacement(o Options) (*Outcome, error) {
 
 // ablPermuters compares every permuter family at the recommended T.
 func ablPermuters(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -206,9 +189,6 @@ func ablPermuters(o Options) (*Outcome, error) {
 // "continuously places the same thread behind the most demanding thread"
 // on asymmetric workloads, while Dynamic Priority stays robust.
 func ablImbalance(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	base, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err

@@ -8,10 +8,6 @@ import (
 	"hbmsim/internal/sweep"
 )
 
-func init() {
-	register("backends", extBackends)
-}
-
 // extBackends runs the same workload under each registered far-memory
 // backend (see internal/membackend): the paper's one-tick-per-transfer
 // reference channel, a bandwidth/latency channel, and a hybrid fast/slow
@@ -20,9 +16,6 @@ func init() {
 // memory model costs and whether the paper's policy ordering survives
 // it.
 func extBackends(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err

@@ -17,9 +17,6 @@ import (
 // O(1) induced misses per original miss, while a naive direct-mapped cache
 // (no transformation) suffers conflict misses the theory does not bound.
 func ablDirectMapped(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	tr, err := workloads.SortTrace(workloads.SortConfig{N: o.SortN, PageBytes: o.PageBytes}, o.Seed)
 	if err != nil {
 		return nil, err
@@ -51,7 +48,7 @@ func ablDirectMapped(o Options) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		naive, err := directmap.NewCache(k, o.Seed+2)
+		naive, err := hbm.NewDirectMapped(k, o.Seed+2)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +56,7 @@ func ablDirectMapped(o Options) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		var assocMisses uint64
+		var assocMisses, naiveMisses uint64
 		for i, p := range tr {
 			if d := denseTr[i]; assoc.Contains(d) {
 				assoc.Touch(d)
@@ -70,11 +67,16 @@ func ablDirectMapped(o Options) (*Outcome, error) {
 					return nil, err
 				}
 			}
-			naive.Access(p)
+			if !naive.Contains(p) {
+				naiveMisses++
+				if _, _, err := naive.Insert(p); err != nil {
+					return nil, err
+				}
+			}
 			xform.Access(p)
 		}
 		st := xform.Stats()
-		tbl.AddRow(string(kind), assocMisses, naive.Misses(), st.Misses,
+		tbl.AddRow(string(kind), assocMisses, naiveMisses, st.Misses,
 			st.AccessesPerOp(), st.MissesPerMiss(), st.AvgChain(), st.MaxChain)
 		if st.AccessesPerOp() > worstAccessesPerOp {
 			worstAccessesPerOp = st.AccessesPerOp()

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4 and §5), plus the ablations its parameter sweep mentions.
 // Each experiment returns an Outcome carrying the measured tables/series
-// and the paper's corresponding claim, so callers (cmd/hbmsweep,
-// cmd/paperrepro, the benchmark harness, EXPERIMENTS.md) can compare
-// shapes directly.
+// and the paper's corresponding claim, so callers (cmd/hbmsweep, the
+// hbmserved experiment jobs, the benchmark harness, EXPERIMENTS.md) can
+// compare shapes directly.
 //
 // Workload sizes are scaled down from the paper's (500k-integer sorts,
 // 600x600 SpGEMM, up to 200 threads) so the full suite runs in minutes;
@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"hbmsim/internal/report"
 	"hbmsim/internal/tracing"
@@ -39,45 +38,75 @@ type Outcome struct {
 	ChartTitle string
 }
 
-// Func runs one experiment.
+// Func runs one experiment on Options that Run has validated.
 type Func func(Options) (*Outcome, error)
 
-// registry maps experiment IDs to implementations; populated by init
-// functions in the per-experiment files.
-var registry = map[string]Func{}
-
-func register(id string, f Func) {
-	if _, dup := registry[id]; dup {
-		panic(fmt.Sprintf("experiments: duplicate id %q", id))
-	}
-	registry[id] = f
+// registry lists every experiment in the order EXPERIMENTS.md presents
+// them: the paper's figures and tables (§4, then §5's KNL validation),
+// then the ablations, extensions and analyses.
+var registry = []struct {
+	id  string
+	run Func
+}{
+	{"fig2a", figure2a},
+	{"fig2b", figure2b},
+	{"fig3", figure3},
+	{"fig4a", figure4a},
+	{"fig4b", figure4b},
+	{"fig5a", figure5a},
+	{"fig5b", figure5b},
+	{"table1a", table1a},
+	{"table1b", table1b},
+	{"table2a", table2a},
+	{"table2b", table2b},
+	{"fig6", figure6},
+	{"knl-properties", knlProperties},
+	{"channels", ablChannels},
+	{"replacement", ablReplacement},
+	{"permuters", ablPermuters},
+	{"imbalance", ablImbalance},
+	{"directmap", ablDirectMapped},
+	{"mapping", ablMapping},
+	{"offline", ablOffline},
+	{"augmentation", ablAugmentation},
+	{"latency", ablLatency},
+	{"backends", extBackends},
+	{"missratio", ablMissRatio},
+	{"responsecdf", ablResponseCDF},
+	{"timeline", timelineExperiment},
+	{"variance", ablVariance},
+	{"optgap", optGapStudy},
 }
 
-// IDs returns every registered experiment id, sorted.
+// IDs returns every experiment id, in paper order.
 func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.id
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Get returns the experiment with the given id.
 func Get(id string) (Func, error) {
-	f, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
+	for _, e := range registry {
+		if e.id == id {
+			return e.run, nil
+		}
 	}
-	return f, nil
+	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
 }
 
-// Run looks up and runs one experiment. When o.Ctx carries a trace span,
-// the whole experiment is timed as an "experiments.run" child span and
-// its internal sweeps' row spans nest under it.
+// Run looks up one experiment, validates the options and runs it. When
+// o.Ctx carries a trace span, the whole experiment is timed as an
+// "experiments.run" child span and its internal sweeps' row spans nest
+// under it.
 func Run(id string, o Options) (*Outcome, error) {
 	f, err := Get(id)
 	if err != nil {
+		return nil, err
+	}
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	ctx, sp := tracing.StartSpan(o.Ctx, "experiments.run")

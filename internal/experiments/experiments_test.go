@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,31 +30,33 @@ func tiny() Options {
 	}
 }
 
-func TestIDsSortedAndComplete(t *testing.T) {
+// TestIDsUniqueInPaperOrder pins the registry's order: every id once,
+// the paper's own figures and tables first, in the paper's order (§4,
+// then §5), and every ablation, extension and analysis after them.
+// cmd/hbmsweep's TestExperimentsDocMatchesRegistry holds EXPERIMENTS.md
+// to the same order.
+func TestIDsUniqueInPaperOrder(t *testing.T) {
 	ids := IDs()
-	if len(ids) < 15 {
-		t.Fatalf("expected at least 15 experiments, got %d: %v", len(ids), ids)
-	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("ids not sorted: %v", ids)
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("id %q registered twice: %v", id, ids)
 		}
+		seen[id] = true
 	}
-	for _, want := range []string{
+	paper := []string{
 		"fig2a", "fig2b", "fig3", "fig4a", "fig4b", "fig5a", "fig5b",
 		"table1a", "table1b", "table2a", "table2b", "fig6", "knl-properties",
+	}
+	if len(ids) < len(paper) || !slices.Equal(ids[:len(paper)], paper) {
+		t.Fatalf("ids do not open with the paper's artifacts in order:\ngot  %v\nwant %v first", ids, paper)
+	}
+	for _, want := range []string{
 		"channels", "replacement", "permuters", "imbalance", "directmap",
-		"mapping", "offline", "augmentation", "latency", "missratio",
-		"responsecdf", "variance", "timeline", "backends",
+		"mapping", "offline", "augmentation", "latency", "backends",
+		"missratio", "responsecdf", "timeline", "variance", "optgap",
 	} {
-		found := false
-		for _, id := range ids {
-			if id == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !seen[want] {
 			t.Errorf("experiment %q missing from registry", want)
 		}
 	}
@@ -201,10 +204,12 @@ func TestFig3RequiresEnoughThreads(t *testing.T) {
 	}
 }
 
+// TestExperimentsRejectBadOptions: Run validates the options before any
+// experiment starts, the KNL model runs and optgap included.
 func TestExperimentsRejectBadOptions(t *testing.T) {
 	bad := tiny()
 	bad.SortN = -1
-	for _, id := range []string{"fig2a", "fig2b", "fig3", "fig4a", "fig5b", "table1a", "channels", "directmap"} {
+	for _, id := range IDs() {
 		if _, err := Run(id, bad); err == nil {
 			t.Errorf("%s accepted invalid options", id)
 		}
@@ -226,13 +231,4 @@ func TestTradeoffSchemesShape(t *testing.T) {
 			t.Errorf("middle scheme name: %q", sc.name)
 		}
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration should panic")
-		}
-	}()
-	register("fig3", figure3)
 }

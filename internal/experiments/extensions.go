@@ -13,20 +13,10 @@ import (
 	"hbmsim/internal/workloads"
 )
 
-func init() {
-	register("mapping", ablMapping)
-	register("offline", ablOffline)
-	register("augmentation", ablAugmentation)
-	register("missratio", ablMissRatio)
-}
-
 // ablMapping verifies Corollary 1 in the main simulator: a direct-mapped
 // HBM a constant factor larger performs within a constant factor of the
 // fully-associative HBM, under both arbiters.
 func ablMapping(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -96,9 +86,6 @@ func ablMapping(o Options) (*Outcome, error) {
 // baseline and the makespan lower bound, estimating empirical competitive
 // ratios (Theorems 1-2's subject matter).
 func ablOffline(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -167,9 +154,6 @@ func ablOffline(o Options) (*Outcome, error) {
 // linearly in d*s — augmentation helps, but cannot buy back the policy
 // gap at once.
 func ablAugmentation(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	cfg := workloads.AdversarialConfig{Pages: 256, Reps: 50}
 	p := o.TradeoffThreads
 	wl, err := workloads.AdversarialWorkload(p, cfg)
@@ -232,9 +216,6 @@ func ablAugmentation(o Options) (*Outcome, error) {
 // workloads and compares optimal static partitioning with the even split
 // FIFO approximates — the analysis that explains Figure 2's crossovers.
 func ablMissRatio(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	sortWl, err := sortWorkload(o)
 	if err != nil {
 		return nil, err

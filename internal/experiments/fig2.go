@@ -11,13 +11,6 @@ import (
 	"hbmsim/internal/trace"
 )
 
-func init() {
-	register("fig2a", figure2a)
-	register("fig2b", figure2b)
-	register("fig4a", figure4a)
-	register("fig4b", figure4b)
-}
-
 // fifoConfig is plain FCFS+LRU.
 func fifoConfig(q int) func(k int, seed int64) core.Config {
 	return func(k int, seed int64) core.Config {
@@ -85,9 +78,6 @@ func figure2(id, dataset string, o Options, wl *trace.Workload, claim string) (*
 }
 
 func figure2a(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -97,9 +87,6 @@ func figure2a(o Options) (*Outcome, error) {
 }
 
 func figure2b(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := sortWorkload(o)
 	if err != nil {
 		return nil, err
@@ -133,9 +120,6 @@ func figure4(id, dataset string, o Options, wl *trace.Workload, claim string) (*
 }
 
 func figure4a(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -145,9 +129,6 @@ func figure4a(o Options) (*Outcome, error) {
 }
 
 func figure4b(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := sortWorkload(o)
 	if err != nil {
 		return nil, err

@@ -8,19 +8,12 @@ import (
 	"hbmsim/internal/workloads"
 )
 
-func init() {
-	register("fig3", figure3)
-}
-
 // figure3 reproduces Figure 3: FIFO vs Priority on the adversarial cyclic
 // trace (1..256 repeated 100 times per thread) with HBM sized to a quarter
 // of the total unique pages. FIFO misses every reference; Priority starves
 // low-priority threads instead and finishes far sooner, with the gap
 // growing roughly linearly in the thread count (up to 40x in the paper).
 func figure3(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	cfg := workloads.AdversarialConfig{Pages: 256, Reps: 100}
 
 	var jobs []sweep.Job

@@ -12,13 +12,6 @@ import (
 	"hbmsim/internal/trace"
 )
 
-func init() {
-	register("fig5a", figure5a)
-	register("fig5b", figure5b)
-	register("table1a", table1a)
-	register("table1b", table1b)
-}
-
 // scheme is one queuing policy in the Figure 5 / Table 1 comparison.
 type scheme struct {
 	name string
@@ -140,9 +133,6 @@ func safeDiv(a, b float64) float64 {
 }
 
 func figure5a(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -151,9 +141,6 @@ func figure5a(o Options) (*Outcome, error) {
 }
 
 func figure5b(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := sortWorkload(o)
 	if err != nil {
 		return nil, err
@@ -194,9 +181,6 @@ func table1(id, dataset string, o Options, wl *trace.Workload) (*Outcome, error)
 }
 
 func table1a(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -205,9 +189,6 @@ func table1a(o Options) (*Outcome, error) {
 }
 
 func table1b(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := sortWorkload(o)
 	if err != nil {
 		return nil, err

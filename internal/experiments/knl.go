@@ -7,13 +7,6 @@ import (
 	"hbmsim/internal/report"
 )
 
-func init() {
-	register("table2a", table2a)
-	register("table2b", table2b)
-	register("fig6", figure6)
-	register("knl-properties", knlProperties)
-}
-
 const (
 	kib = uint64(1) << 10
 	mib = uint64(1) << 20

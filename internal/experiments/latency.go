@@ -9,20 +9,12 @@ import (
 	"hbmsim/internal/sweep"
 )
 
-func init() {
-	register("latency", ablLatency)
-	register("responsecdf", ablResponseCDF)
-}
-
 // ablLatency sweeps the far-channel block-transfer latency (the model
 // pins it to 1; real DRAM transfers take longer). Pipelined channels mean
 // bandwidth is unchanged, so the policy ordering — the paper's actual
 // claim — should survive; this ablation verifies that the FIFO/Priority
 // gap is latency-robust.
 func ablLatency(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
@@ -82,9 +74,6 @@ func ablLatency(o Options) (*Outcome, error) {
 // from the per-run histogram — the starvation quantification behind
 // Table 1's averages and standard deviations.
 func ablResponseCDF(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err

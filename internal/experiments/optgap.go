@@ -12,10 +12,6 @@ import (
 	"hbmsim/internal/telemetry"
 )
 
-func init() {
-	register("optgap", optGapStudy)
-}
-
 // optGapStudy exercises the live optimality telemetry end to end: it
 // runs FIFO, static Priority, and Dynamic Priority on the sort workload
 // with an OptTracker attached, reports each policy's windowed

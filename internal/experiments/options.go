@@ -145,7 +145,8 @@ func Full() Options {
 	return o
 }
 
-// Validate reports an option error, if any.
+// Validate reports an option error, if any. Run calls it before any
+// experiment starts.
 func (o Options) Validate() error {
 	if o.SortN <= 0 || o.SpGEMMN <= 0 {
 		return fmt.Errorf("experiments: workload sizes must be positive (sortN=%d, spgemmN=%d)", o.SortN, o.SpGEMMN)

@@ -9,10 +9,6 @@ import (
 	"hbmsim/internal/telemetry"
 )
 
-func init() {
-	register("timeline", timelineExperiment)
-}
-
 // runTimeline executes one configuration with a Timeline collector
 // attached and returns both the windowed series and the run summary.
 func runTimeline(cfg core.Config, traces [][]model.PageID, window model.Tick) (*telemetry.Timeline, *core.Result, error) {
@@ -38,9 +34,6 @@ func runTimeline(cfg core.Config, traces [][]model.PageID, window model.Tick) (*
 // resident cohort hit without ever entering the DRAM queue, so remaps
 // cannot reach it and Dynamic degenerates to Priority.)
 func timelineExperiment(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err

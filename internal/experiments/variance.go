@@ -7,10 +7,6 @@ import (
 	"hbmsim/internal/sweep"
 )
 
-func init() {
-	register("variance", ablVariance)
-}
-
 // ablVariance measures seed sensitivity: the headline FIFO/Priority ratios
 // are re-run with several independent seeds (fresh policy randomness; the
 // workload is regenerated per replica through the simulator's seed
@@ -18,9 +14,6 @@ func init() {
 // A reproduction whose conclusions flip with the seed would be worthless;
 // this experiment shows they do not.
 func ablVariance(o Options) (*Outcome, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
 	wl, err := spgemmWorkload(o)
 	if err != nil {
 		return nil, err
