@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -215,7 +216,7 @@ func main() {
 		elapsed := time.Since(t0).Round(time.Millisecond)
 		slog.Info("experiment finished", "id", id, "elapsed", elapsed)
 		if *markdown {
-			printMarkdown(out, elapsed)
+			printMarkdown(os.Stdout, out, elapsed)
 		} else {
 			printOutcome(out, *chart)
 		}
@@ -357,33 +358,34 @@ func printOutcome(out *experiments.Outcome, chart bool) {
 	}
 }
 
-// printMarkdown prints one experiment as a section of EXPERIMENTS.md:
-// its heading, claim, result and runtime, then its tables.
-func printMarkdown(out *experiments.Outcome, elapsed time.Duration) {
-	fmt.Printf("\n## %s — %s\n\n", out.ID, out.Title)
-	fmt.Printf("- **Paper:** %s\n", out.PaperClaim)
-	fmt.Printf("- **Measured:** %s\n", out.Headline)
-	fmt.Printf("- **Runtime:** %s\n\n", elapsed)
+// printMarkdown prints one experiment to w as a section of
+// EXPERIMENTS.md: its heading, claim, result and runtime, then its
+// tables.
+func printMarkdown(w io.Writer, out *experiments.Outcome, elapsed time.Duration) {
+	fmt.Fprintf(w, "\n## %s — %s\n\n", out.ID, out.Title)
+	fmt.Fprintf(w, "- **Paper:** %s\n", out.PaperClaim)
+	fmt.Fprintf(w, "- **Measured:** %s\n", out.Headline)
+	fmt.Fprintf(w, "- **Runtime:** %s\n\n", elapsed)
 	for _, t := range out.Tables {
 		if t.Title != "" {
-			fmt.Printf("**%s**\n\n", t.Title)
+			fmt.Fprintf(w, "**%s**\n\n", t.Title)
 		}
-		fmt.Print("|")
+		fmt.Fprint(w, "|")
 		for _, h := range t.Headers {
-			fmt.Printf(" %s |", h)
+			fmt.Fprintf(w, " %s |", h)
 		}
-		fmt.Print("\n|")
+		fmt.Fprint(w, "\n|")
 		for range t.Headers {
-			fmt.Print("---|")
+			fmt.Fprint(w, "---|")
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, row := range t.Rows() {
-			fmt.Print("|")
+			fmt.Fprint(w, "|")
 			for _, c := range row {
-				fmt.Printf(" %s |", c)
+				fmt.Fprintf(w, " %s |", c)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

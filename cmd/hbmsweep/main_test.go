@@ -126,6 +126,71 @@ func TestExperimentsDocMatchesRegistry(t *testing.T) {
 	}
 }
 
+// TestExperimentsDocTablesMatchCode holds EXPERIMENTS.md's recorded
+// results to the code for the experiments that run in milliseconds: each
+// one, run with the default options at seed 1 and printed by
+// printMarkdown, must equal its section of the file line for line, the
+// runtime line aside. directmap reads SortTrace's raw page IDs, so its
+// table also pins them.
+func TestExperimentsDocTablesMatchCode(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := experiments.Default()
+	o.Seed = 1
+	for _, id := range []string{"table2a", "table2b", "fig6", "knl-properties", "directmap"} {
+		out, err := experiments.Run(id, o)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var printed strings.Builder
+		printMarkdown(&printed, out, 0)
+		got, want := docSection(printed.String(), id), docSection(string(doc), id)
+		if len(want) == 0 {
+			t.Errorf("EXPERIMENTS.md has no %q section", "## "+id+" — ")
+			continue
+		}
+		for i := range max(len(got), len(want)) {
+			var g, w string
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(want) {
+				w = want[i]
+			}
+			if g != w {
+				t.Errorf("%s: line %d of the section prints\n\t%q\nEXPERIMENTS.md has\n\t%q", id, i+1, g, w)
+				break
+			}
+		}
+	}
+}
+
+// docSection returns the lines of md's "## <id> — " section, up to the
+// next "## " heading, leaving out the "- **Runtime:**" line and the
+// trailing blank lines.
+func docSection(md, id string) []string {
+	lines := strings.Split(md, "\n")
+	start := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "## "+id+" — ") })
+	if start < 0 {
+		return nil
+	}
+	var out []string
+	for i, l := range lines[start:] {
+		if i > 0 && strings.HasPrefix(l, "## ") {
+			break
+		}
+		if !strings.HasPrefix(l, "- **Runtime:** ") {
+			out = append(out, l)
+		}
+	}
+	for len(out) > 0 && out[len(out)-1] == "" {
+		out = out[:len(out)-1]
+	}
+	return out
+}
+
 // TestMarkdownOutput runs `hbmsweep -md` on two fast experiments: a
 // header line, then per experiment its section heading, claim, result
 // and runtime, and its tables as Markdown, with no chart.

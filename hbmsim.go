@@ -316,8 +316,9 @@ func BFSWorkload(cores int, cfg BFSConfig, seed int64) (*Workload, error) {
 type MixedSpec = workloads.MixedSpec
 
 // TraceGen produces one core's trace from a seed. The workload builders
-// copy the returned trace while renumbering it and never write into it,
-// so a TraceGen may return a slice it shares or keeps.
+// renumber a copy of the returned trace and never write into the
+// TraceGen's own slice, so a TraceGen may return a slice it shares or
+// keeps. (The built-in generators' traces are renumbered in place.)
 type TraceGen = workloads.Gen
 
 // MixedWorkload builds a heterogeneous workload: different cores run

@@ -13,6 +13,7 @@ package memlog
 
 import (
 	"fmt"
+	"sync"
 
 	"hbmsim/internal/trace"
 )
@@ -22,17 +23,65 @@ import (
 // what it has already logged.
 const chunkLen = 1 << 13
 
-// Recorder owns a virtual address space and the access log.
-type Recorder struct {
-	// full holds the filled log chunks in logging order; cur is the
-	// chunk being filled.
-	full [][]uint64
-	cur  []uint64
-	next uint64
+// FreeList holds the chunks of logs that recorders have handed back,
+// one set per log. A recorder made with one takes the set of the last
+// log handed back and logs into those chunks before it allocates new
+// ones, so recordings that run one after another reuse one another's
+// chunks, and recorders made at the same time take different sets. It
+// is safe for concurrent use; the zero value is an empty list.
+type FreeList struct {
+	mu   sync.Mutex
+	logs [][][]uint64
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+// take removes the chunks of the last log handed back and returns them;
+// a nil or empty list returns none.
+func (f *FreeList) take() [][]uint64 {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.logs)
+	if n == 0 {
+		return nil
+	}
+	c := f.logs[n-1]
+	f.logs = f.logs[:n-1]
+	return c
+}
+
+// put hands one log's chunks back to the list; a nil list drops them.
+func (f *FreeList) put(chunks [][]uint64) {
+	if f == nil || len(chunks) == 0 {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.logs = append(f.logs, chunks)
+}
+
+// Recorder owns a virtual address space and the access log.
+type Recorder struct {
+	// chunks holds the log's chunks in logging order: the first filled
+	// are full, chunks[filled] is being filled through cur, and the rest
+	// are spares taken from free. Every chunk has capacity chunkLen, and
+	// the headers in chunks keep length 0: a full chunk is c[:chunkLen].
+	chunks [][]uint64
+	filled int
+	cur    []uint64
+	next   uint64
+	// free takes the log's chunks back on Reset.
+	free *FreeList
+}
+
+// NewRecorder returns an empty recorder that takes one earlier log's
+// chunks from free to log into, and hands every chunk back to it on
+// Reset. With a nil free it allocates every chunk and leaves the
+// discarded ones to the garbage collector.
+func NewRecorder(free *FreeList) *Recorder {
+	return &Recorder{chunks: free.take(), free: free}
+}
 
 // reserve carves bytes out of the virtual address space, aligned to the
 // element size so no element straddles a page boundary unnecessarily.
@@ -53,22 +102,29 @@ func (r *Recorder) record(addr uint64) {
 	r.cur = append(r.cur, addr)
 }
 
-// spill retires the current chunk, once it is full, and starts a new one.
+// spill retires the current chunk, once it is full, and starts the next:
+// a spare if the recorder holds one, else a new chunk. It calls no
+// function, which keeps record, and the Slice accessors that call it,
+// cheap enough for the compiler to inline into the instrumented kernels.
 func (r *Recorder) spill() {
 	if r.cur != nil {
-		r.full = append(r.full, r.cur)
+		r.filled++
 	}
-	r.cur = make([]uint64, 0, chunkLen)
+	if r.filled == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]uint64, 0, chunkLen))
+	}
+	r.cur = r.chunks[r.filled][:0]
 }
 
 // Len returns the number of recorded accesses.
-func (r *Recorder) Len() int { return len(r.full)*chunkLen + len(r.cur) }
+func (r *Recorder) Len() int { return r.filled*chunkLen + len(r.cur) }
 
-// Reset discards the recorded accesses but keeps allocations in place, so
-// a warm-up run can be discarded before the measured run.
+// Reset discards the recorded accesses and hands every chunk the
+// recorder holds back to its free list, for the recorders made after it.
+// The recorder can log again at once, into new chunks.
 func (r *Recorder) Reset() {
-	r.full = nil
-	r.cur = r.cur[:0]
+	r.free.put(r.chunks)
+	r.chunks, r.filled, r.cur = nil, 0, nil
 }
 
 // Trace maps the recorded byte addresses to a page-reference trace with
@@ -79,10 +135,10 @@ func (r *Recorder) Trace(pageBytes int) (trace.Trace, error) {
 		return nil, err
 	}
 	out := make(trace.Trace, r.Len())
-	for i, c := range r.full {
-		m.Pages(out[i*chunkLen:], c)
+	for i, c := range r.chunks[:r.filled] {
+		m.Pages(out[i*chunkLen:], c[:chunkLen])
 	}
-	m.Pages(out[len(r.full)*chunkLen:], r.cur)
+	m.Pages(out[r.filled*chunkLen:], r.cur)
 	return out, nil
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSliceGetSetLogsAddresses(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	s := NewSlice[int64](rec, 4, 8)
 	s.Set(0, 10)
 	s.Set(3, 30)
@@ -32,7 +32,7 @@ func TestSliceGetSetLogsAddresses(t *testing.T) {
 }
 
 func TestSwapLogsFourAccesses(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	s := FromSlice(rec, []int64{1, 2}, 8)
 	s.Swap(0, 1)
 	if rec.Len() != 4 {
@@ -44,7 +44,7 @@ func TestSwapLogsFourAccesses(t *testing.T) {
 }
 
 func TestPeekAndRawDoNotLog(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	s := FromSlice(rec, []int64{1, 2, 3}, 8)
 	_ = s.Peek(1)
 	_ = s.Raw()
@@ -54,7 +54,7 @@ func TestPeekAndRawDoNotLog(t *testing.T) {
 }
 
 func TestFromSliceCopies(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	src := []int64{1, 2}
 	s := FromSlice(rec, src, 8)
 	src[0] = 99
@@ -67,7 +67,7 @@ func TestFromSliceCopies(t *testing.T) {
 }
 
 func TestDistinctSlicesDisjointAddresses(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	a := NewSlice[int64](rec, 10, 8)
 	b := NewSlice[int64](rec, 10, 8)
 	a.Get(9)
@@ -85,7 +85,7 @@ func TestDistinctSlicesDisjointAddresses(t *testing.T) {
 }
 
 func TestAlignment(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	_ = NewSlice[byte](rec, 3, 1)   // ends at byte 3
 	b := NewSlice[int64](rec, 1, 8) // must start at byte 8, not 3
 	b.Get(0)
@@ -99,7 +99,7 @@ func TestAlignment(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	s := NewSlice[int64](rec, 2, 8)
 	s.Get(0)
 	rec.Reset()
@@ -113,14 +113,14 @@ func TestReset(t *testing.T) {
 }
 
 func TestTraceBadPageSize(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	if _, err := rec.Trace(0); err == nil {
 		t.Fatal("page size 0 accepted")
 	}
 }
 
 func TestNewSlicePanicsOnBadDims(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	for _, c := range []struct{ n, eb int }{{-1, 8}, {4, 0}, {4, -2}} {
 		func() {
 			defer func() {
@@ -134,7 +134,7 @@ func TestNewSlicePanicsOnBadDims(t *testing.T) {
 }
 
 func TestGenericTypes(t *testing.T) {
-	rec := NewRecorder()
+	rec := NewRecorder(nil)
 	f := NewSlice[float64](rec, 2, 8)
 	f.Set(0, 3.5)
 	if f.Get(0) != 3.5 {
@@ -148,61 +148,91 @@ func TestGenericTypes(t *testing.T) {
 }
 
 // TestChunkBoundaries logs across several chunk boundaries and checks
-// Len, Reset and Trace against an unchunked reference log.
+// Len, Reset and Trace against an unchunked reference log, once with
+// fresh chunks and once starting in chunks another recording filled and
+// handed back to a shared free list, which Reset then hands this log's
+// chunks back to as well.
 func TestChunkBoundaries(t *testing.T) {
-	rec := NewRecorder()
-	s := NewSlice[int64](rec, 1000, 8)
-	var ref []uint64
-	log := func(n int) {
-		for i := 0; i < n; i++ {
-			j := (i * 7919) % s.Len()
-			s.Get(j)
-			ref = append(ref, s.addr(j))
-			if rec.Len() != len(ref) {
-				t.Fatalf("Len %d after %d accesses", rec.Len(), len(ref))
-			}
-		}
+	// The other recording logs addresses past 8 MiB, which the reference
+	// log never holds, into five chunks.
+	var used FreeList
+	other := NewRecorder(&used)
+	NewSlice[byte](other, 1, 8<<20)
+	o := NewSlice[int64](other, 10, 8)
+	for i := 0; i < 5*chunkLen; i++ {
+		o.Get(i % 10)
 	}
-	check := func() {
-		t.Helper()
-		for _, page := range []int{1, 8, 24, 4096} {
-			tr, err := rec.Trace(page)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tr) != len(ref) {
-				t.Fatalf("page %d: trace has %d refs, want %d", page, len(tr), len(ref))
-			}
-			for i, a := range ref {
-				if want := model.PageID(a / uint64(page)); tr[i] != want {
-					t.Fatalf("page %d: ref %d is page %d, want %d", page, i, tr[i], want)
+	other.Reset()
+	if len(used.logs) != 1 || len(used.logs[0]) != 5 {
+		t.Fatalf("free list holds %d logs after Reset, want one of 5 chunks", len(used.logs))
+	}
+
+	for _, tc := range []struct {
+		name string
+		free *FreeList
+	}{{"fresh", nil}, {"reused", &used}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := NewRecorder(tc.free)
+			s := NewSlice[int64](rec, 1000, 8)
+			var ref []uint64
+			log := func(n int) {
+				for i := 0; i < n; i++ {
+					j := (i * 7919) % s.Len()
+					s.Get(j)
+					ref = append(ref, s.addr(j))
+					if rec.Len() != len(ref) {
+						t.Fatalf("Len %d after %d accesses", rec.Len(), len(ref))
+					}
 				}
 			}
-		}
+			check := func() {
+				t.Helper()
+				for _, page := range []int{1, 8, 24, 4096} {
+					tr, err := rec.Trace(page)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(tr) != len(ref) {
+						t.Fatalf("page %d: trace has %d refs, want %d", page, len(tr), len(ref))
+					}
+					for i, a := range ref {
+						if want := model.PageID(a / uint64(page)); tr[i] != want {
+							t.Fatalf("page %d: ref %d is page %d, want %d", page, i, tr[i], want)
+						}
+					}
+				}
+			}
+
+			log(3*chunkLen + 17)
+			check()
+			if tc.free != nil && len(rec.chunks) != 5 {
+				t.Fatalf("recorder holds %d chunks after a 4-chunk log, want the 5 it took", len(rec.chunks))
+			}
+
+			// Reset mid-chunk, then refill past a boundary.
+			rec.Reset()
+			if tc.free != nil && (len(tc.free.logs) != 1 || len(tc.free.logs[0]) != 5) {
+				t.Fatalf("free list holds %d logs after Reset, want one of 5 chunks", len(tc.free.logs))
+			}
+			ref = ref[:0]
+			if rec.Len() != 0 {
+				t.Fatalf("Len %d after Reset", rec.Len())
+			}
+			check()
+			log(chunkLen + 5)
+			check()
+
+			// Reset with the current chunk exactly full.
+			rec.Reset()
+			ref = ref[:0]
+			log(chunkLen)
+			check()
+			rec.Reset()
+			ref = ref[:0]
+			log(2 * chunkLen)
+			check()
+		})
 	}
-
-	log(3*chunkLen + 17)
-	check()
-
-	// Reset mid-chunk, then refill past a boundary.
-	rec.Reset()
-	ref = ref[:0]
-	if rec.Len() != 0 {
-		t.Fatalf("Len %d after Reset", rec.Len())
-	}
-	check()
-	log(chunkLen + 5)
-	check()
-
-	// Reset with the current chunk exactly full.
-	rec.Reset()
-	ref = ref[:0]
-	log(chunkLen)
-	check()
-	rec.Reset()
-	ref = ref[:0]
-	log(2 * chunkLen)
-	check()
 }
 
 // TestRecordAllocatesPerChunk pins the log's growth: logging n accesses
@@ -213,7 +243,7 @@ func TestRecordAllocatesPerChunk(t *testing.T) {
 	const n = 40 * chunkLen
 	var rec *Recorder
 	record := func() {
-		rec = NewRecorder()
+		rec = NewRecorder(nil)
 		s := NewSlice[int64](rec, 64, 8)
 		for i := 0; i < n; i++ {
 			s.Get(i & 63)

@@ -201,6 +201,13 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad spec status %d, want 400", resp.StatusCode)
 	}
+	// Negative page size -> 400, refused before the trace is generated.
+	resp, _ = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(
+		`{"kind":"sim","workload":{"gen":"densemm","cores":2,"size":32,"page_bytes":-8},"config":{"hbm_slots":8}}`))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("negative page size status %d, want 400", resp.StatusCode)
+	}
 	// Unknown field -> 400 (typo safety).
 	resp, _ = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"kindd":"sim"}`))
 	resp.Body.Close()

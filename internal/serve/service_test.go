@@ -221,6 +221,8 @@ func TestSubmitValidation(t *testing.T) {
 			Config: &ConfigSpec{HBMSlots: 8}}, // no cores
 		{Kind: KindSim, Workload: &WorkloadSpec{Gen: "uniform", Cores: -3},
 			Config: &ConfigSpec{HBMSlots: 8}}, // negative cores
+		{Kind: KindSim, Workload: &WorkloadSpec{Gen: "densemm", Cores: 1, Size: 16, PageBytes: -8},
+			Config: &ConfigSpec{HBMSlots: 8}}, // negative page size
 	}
 	for i, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {

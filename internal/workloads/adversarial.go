@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 
+	"hbmsim/internal/memlog"
 	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
 )
@@ -49,7 +50,7 @@ func AdversarialTrace(cfg AdversarialConfig) (trace.Trace, error) {
 func AdversarialWorkload(cores int, cfg AdversarialConfig) (*trace.Workload, error) {
 	cfg = cfg.withDefaults()
 	name := fmt.Sprintf("adversarial-p%d-r%d", cfg.Pages, cfg.Reps)
-	return Build(name, cores, 0, func(int64) (trace.Trace, error) {
+	return generate(name, cores, 0, func(int64, *memlog.FreeList) (trace.Trace, error) {
 		return AdversarialTrace(cfg)
 	})
 }

@@ -36,6 +36,12 @@ func (c BFSConfig) withDefaults() BFSConfig {
 // so the whole graph is covered) over instrumented CSR arrays and returns
 // the page trace of every dereference.
 func BFSTrace(cfg BFSConfig, seed int64) (trace.Trace, error) {
+	return bfsTrace(cfg, seed, nil)
+}
+
+// bfsTrace is BFSTrace logging into chunks taken from free,
+// to which it hands them back once the log is mapped to pages.
+func bfsTrace(cfg BFSConfig, seed int64, free *memlog.FreeList) (trace.Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Vertices <= 0 {
 		return nil, fmt.Errorf("workloads: bfs vertex count must be positive, got %d", cfg.Vertices)
@@ -59,7 +65,8 @@ func BFSTrace(cfg BFSConfig, seed int64) (trace.Trace, error) {
 	}
 	rowPtr[n] = int64(len(col))
 
-	rec := memlog.NewRecorder()
+	rec := memlog.NewRecorder(free)
+	defer rec.Reset()
 	rp := memlog.FromSlice(rec, rowPtr, elemBytes)
 	cl := memlog.FromSlice(rec, col, elemBytes)
 	visited := memlog.NewSlice[int64](rec, n, elemBytes)
@@ -95,7 +102,7 @@ func BFSTrace(cfg BFSConfig, seed int64) (trace.Trace, error) {
 func BFSWorkload(cores int, cfg BFSConfig, baseSeed int64) (*trace.Workload, error) {
 	cfg = cfg.withDefaults()
 	name := fmt.Sprintf("bfs-v%d-d%d", cfg.Vertices, cfg.Degree)
-	return Build(name, cores, baseSeed, func(seed int64) (trace.Trace, error) {
-		return BFSTrace(cfg, seed)
+	return generate(name, cores, baseSeed, func(seed int64, free *memlog.FreeList) (trace.Trace, error) {
+		return bfsTrace(cfg, seed, free)
 	})
 }

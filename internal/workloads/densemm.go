@@ -30,13 +30,20 @@ func (c DenseMMConfig) withDefaults() DenseMMConfig {
 // The i-k-j order streams B's rows and C's rows, the usual cache-friendly
 // scalar loop order.
 func DenseMMTrace(cfg DenseMMConfig, seed int64) (trace.Trace, error) {
+	return denseMMTrace(cfg, seed, nil)
+}
+
+// denseMMTrace is DenseMMTrace logging into chunks taken from free,
+// to which it hands them back once the log is mapped to pages.
+func denseMMTrace(cfg DenseMMConfig, seed int64, free *memlog.FreeList) (trace.Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("workloads: densemm dimension must be positive, got %d", cfg.N)
 	}
 	n := cfg.N
 	rng := rand.New(rand.NewSource(seed))
-	rec := memlog.NewRecorder()
+	rec := memlog.NewRecorder(free)
+	defer rec.Reset()
 	av := make([]float64, n*n)
 	bv := make([]float64, n*n)
 	for i := range av {
@@ -63,7 +70,7 @@ func DenseMMTrace(cfg DenseMMConfig, seed int64) (trace.Trace, error) {
 func DenseMMWorkload(cores int, cfg DenseMMConfig, baseSeed int64) (*trace.Workload, error) {
 	cfg = cfg.withDefaults()
 	name := fmt.Sprintf("densemm-n%d", cfg.N)
-	return Build(name, cores, baseSeed, func(seed int64) (trace.Trace, error) {
-		return DenseMMTrace(cfg, seed)
+	return generate(name, cores, baseSeed, func(seed int64, free *memlog.FreeList) (trace.Trace, error) {
+		return denseMMTrace(cfg, seed, free)
 	})
 }

@@ -38,7 +38,7 @@ func Mixed(specs []MixedSpec, baseSeed int64) (*trace.Workload, error) {
 		if sp.Gen == nil {
 			return nil, fmt.Errorf("workloads: component %d has no generator", i)
 		}
-		part, unique, err := build(sp.Name, sp.Cores, seed, sp.Gen, next)
+		part, unique, err := build(sp.Name, sp.Cores, seed, copied(sp.Gen), next)
 		if err != nil {
 			return nil, fmt.Errorf("workloads: component %d (%s): %w", i, sp.Name, err)
 		}

@@ -54,6 +54,12 @@ const elemBytes = 8 // all instrumented kernels sort/operate on 64-bit words
 // instrumented array and returns the page-reference trace of every
 // dereference the sort performed.
 func SortTrace(cfg SortConfig, seed int64) (trace.Trace, error) {
+	return sortTrace(cfg, seed, nil)
+}
+
+// sortTrace is SortTrace logging into chunks taken from free,
+// to which it hands them back once the log is mapped to pages.
+func sortTrace(cfg SortConfig, seed int64, free *memlog.FreeList) (trace.Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("workloads: sort size must be positive, got %d", cfg.N)
@@ -63,7 +69,8 @@ func SortTrace(cfg SortConfig, seed int64) (trace.Trace, error) {
 	for i := range data {
 		data[i] = rng.Int63()
 	}
-	rec := memlog.NewRecorder()
+	rec := memlog.NewRecorder(free)
+	defer rec.Reset()
 	s := memlog.FromSlice(rec, data, elemBytes)
 	switch cfg.Algo {
 	case Introsort:
@@ -89,8 +96,8 @@ func SortTrace(cfg SortConfig, seed int64) (trace.Trace, error) {
 func SortWorkload(cores int, cfg SortConfig, baseSeed int64) (*trace.Workload, error) {
 	cfg = cfg.withDefaults()
 	name := fmt.Sprintf("%s-n%d", cfg.Algo, cfg.N)
-	return Build(name, cores, baseSeed, func(seed int64) (trace.Trace, error) {
-		return SortTrace(cfg, seed)
+	return generate(name, cores, baseSeed, func(seed int64, free *memlog.FreeList) (trace.Trace, error) {
+		return sortTrace(cfg, seed, free)
 	})
 }
 

@@ -101,7 +101,7 @@ func TestSortTraceRefCountScales(t *testing.T) {
 
 // sortViaAlgo runs one of the internal sorting routines on xs.
 func sortViaAlgo(algo SortAlgo, xs []int64) []int64 {
-	rec := memlog.NewRecorder()
+	rec := memlog.NewRecorder(nil)
 	s := memlog.FromSlice(rec, xs, 8)
 	switch algo {
 	case Introsort:

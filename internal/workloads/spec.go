@@ -30,35 +30,38 @@ type Spec struct {
 // generator builds a workload from a Spec's fields, defaults applied.
 type generator func(cores, size, pageBytes int, seed int64) (*trace.Workload, error)
 
-// generators maps each name a Spec accepts onto its generator call.
-// Renaming an entry, or changing what a call makes of the size, page
-// size or seed, moves the fingerprint of every stored job that names it.
+// generators maps each name a Spec accepts onto its generator call;
+// pages marks the generators that map logged addresses to pages, which
+// need a page size of at least one byte. Renaming an entry, or changing
+// what a call makes of the size, page size or seed, moves the
+// fingerprint of every stored job that names it.
 var generators = []struct {
 	name  string
+	pages bool
 	build generator
 }{
-	{"sort", sortWith(Introsort)},
-	{"mergesort", sortWith(Mergesort)},
-	{"quicksort", sortWith(Quicksort)},
-	{"heapsort", sortWith(Heapsort)},
-	{"spgemm", func(cores, size, pageBytes int, seed int64) (*trace.Workload, error) {
+	{"sort", true, sortWith(Introsort)},
+	{"mergesort", true, sortWith(Mergesort)},
+	{"quicksort", true, sortWith(Quicksort)},
+	{"heapsort", true, sortWith(Heapsort)},
+	{"spgemm", true, func(cores, size, pageBytes int, seed int64) (*trace.Workload, error) {
 		return SpGEMMWorkload(cores, SpGEMMConfig{N: size, PageBytes: pageBytes}, seed)
 	}},
-	{"densemm", func(cores, size, pageBytes int, seed int64) (*trace.Workload, error) {
+	{"densemm", true, func(cores, size, pageBytes int, seed int64) (*trace.Workload, error) {
 		return DenseMMWorkload(cores, DenseMMConfig{N: size, PageBytes: pageBytes}, seed)
 	}},
-	{"stream", func(cores, size, pageBytes int, seed int64) (*trace.Workload, error) {
+	{"stream", true, func(cores, size, pageBytes int, seed int64) (*trace.Workload, error) {
 		return StreamWorkload(cores, StreamConfig{N: size, PageBytes: pageBytes}, seed)
 	}},
-	{"bfs", func(cores, size, pageBytes int, seed int64) (*trace.Workload, error) {
+	{"bfs", true, func(cores, size, pageBytes int, seed int64) (*trace.Workload, error) {
 		return BFSWorkload(cores, BFSConfig{Vertices: size, PageBytes: pageBytes}, seed)
 	}},
-	{"adversarial", func(cores, size, _ int, _ int64) (*trace.Workload, error) {
+	{"adversarial", false, func(cores, size, _ int, _ int64) (*trace.Workload, error) {
 		return AdversarialWorkload(cores, AdversarialConfig{Pages: size})
 	}},
-	{"uniform", syntheticWith(Uniform)},
-	{"zipf", syntheticWith(Zipfian)},
-	{"strided", syntheticWith(Strided)},
+	{"uniform", false, syntheticWith(Uniform)},
+	{"zipf", false, syntheticWith(Zipfian)},
+	{"strided", false, syntheticWith(Strided)},
 }
 
 func sortWith(algo SortAlgo) generator {
@@ -85,7 +88,7 @@ func Names() []string {
 }
 
 // Validate returns the error Build would return for the spec's
-// generator name or core count, without generating anything.
+// generator name, core count or page size, without generating anything.
 func (s Spec) Validate() error {
 	_, err := s.lookup()
 	return err
@@ -99,9 +102,13 @@ func (s Spec) lookup() (generator, error) {
 		return nil, fmt.Errorf("workloads: workload spec needs a generator name")
 	}
 	for _, g := range generators {
-		if g.name == s.Gen {
-			return g.build, nil
+		if g.name != s.Gen {
+			continue
 		}
+		if g.pages && s.PageBytes < 0 {
+			return nil, fmt.Errorf("workloads: %s needs a page size of at least 1 byte, got %d", s.Gen, s.PageBytes)
+		}
+		return g.build, nil
 	}
 	return nil, fmt.Errorf("workloads: unknown workload generator %q (known: %s)", s.Gen, strings.Join(Names(), ", "))
 }

@@ -67,6 +67,12 @@ func randomCSR(rec *memlog.Recorder, n int, density float64, rng *rand.Rand) csr
 // emits for CSR = CSR * CSR with a workspace — behind instrumented arrays,
 // and returns the page trace of every dereference.
 func SpGEMMTrace(cfg SpGEMMConfig, seed int64) (trace.Trace, error) {
+	return spgemmTrace(cfg, seed, nil)
+}
+
+// spgemmTrace is SpGEMMTrace logging into chunks taken from free,
+// to which it hands them back once the log is mapped to pages.
+func spgemmTrace(cfg SpGEMMConfig, seed int64, free *memlog.FreeList) (trace.Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("workloads: spgemm dimension must be positive, got %d", cfg.N)
@@ -75,7 +81,8 @@ func SpGEMMTrace(cfg SpGEMMConfig, seed int64) (trace.Trace, error) {
 		return nil, fmt.Errorf("workloads: spgemm density must be in [0, 1], got %g", cfg.Density)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	rec := memlog.NewRecorder()
+	rec := memlog.NewRecorder(free)
+	defer rec.Reset()
 	a := randomCSR(rec, cfg.N, cfg.Density, rng)
 	b := randomCSR(rec, cfg.N, cfg.Density, rng)
 
@@ -130,7 +137,7 @@ func SpGEMMTrace(cfg SpGEMMConfig, seed int64) (trace.Trace, error) {
 func SpGEMMWorkload(cores int, cfg SpGEMMConfig, baseSeed int64) (*trace.Workload, error) {
 	cfg = cfg.withDefaults()
 	name := fmt.Sprintf("spgemm-n%d-d%g", cfg.N, cfg.Density)
-	return Build(name, cores, baseSeed, func(seed int64) (trace.Trace, error) {
-		return SpGEMMTrace(cfg, seed)
+	return generate(name, cores, baseSeed, func(seed int64, free *memlog.FreeList) (trace.Trace, error) {
+		return spgemmTrace(cfg, seed, free)
 	})
 }

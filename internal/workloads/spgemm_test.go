@@ -82,7 +82,7 @@ func TestSpGEMMZeroDensityDefaulted(t *testing.T) {
 func TestSpGEMMCorrectProduct(t *testing.T) {
 	const n = 12
 	rng := rand.New(rand.NewSource(42))
-	rec := memlog.NewRecorder()
+	rec := memlog.NewRecorder(nil)
 	a := randomCSR(rec, n, 0.3, rng)
 	b := randomCSR(rec, n, 0.3, rng)
 

@@ -33,6 +33,12 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // StreamTrace runs the triad over instrumented vectors and returns its
 // page trace: a purely sequential, zero-reuse reference stream.
 func StreamTrace(cfg StreamConfig, seed int64) (trace.Trace, error) {
+	return streamTrace(cfg, seed, nil)
+}
+
+// streamTrace is StreamTrace logging into chunks taken from free,
+// to which it hands them back once the log is mapped to pages.
+func streamTrace(cfg StreamConfig, seed int64, free *memlog.FreeList) (trace.Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("workloads: stream length must be positive, got %d", cfg.N)
@@ -42,7 +48,8 @@ func StreamTrace(cfg StreamConfig, seed int64) (trace.Trace, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	scale := 1 + rng.Float64()
-	rec := memlog.NewRecorder()
+	rec := memlog.NewRecorder(free)
+	defer rec.Reset()
 	a := memlog.NewSlice[float64](rec, cfg.N, elemBytes)
 	b := memlog.NewSlice[float64](rec, cfg.N, elemBytes)
 	c := memlog.NewSlice[float64](rec, cfg.N, elemBytes)
@@ -58,7 +65,7 @@ func StreamTrace(cfg StreamConfig, seed int64) (trace.Trace, error) {
 func StreamWorkload(cores int, cfg StreamConfig, baseSeed int64) (*trace.Workload, error) {
 	cfg = cfg.withDefaults()
 	name := fmt.Sprintf("stream-n%d-it%d", cfg.N, cfg.Iterations)
-	return Build(name, cores, baseSeed, func(seed int64) (trace.Trace, error) {
-		return StreamTrace(cfg, seed)
+	return generate(name, cores, baseSeed, func(seed int64, free *memlog.FreeList) (trace.Trace, error) {
+		return streamTrace(cfg, seed, free)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"hbmsim/internal/memlog"
 	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
 )
@@ -89,7 +90,7 @@ func SyntheticTrace(cfg SyntheticConfig, seed int64) (trace.Trace, error) {
 func SyntheticWorkload(cores int, cfg SyntheticConfig, baseSeed int64) (*trace.Workload, error) {
 	cfg = cfg.withDefaults()
 	name := fmt.Sprintf("%s-r%d-p%d", cfg.Kind, cfg.Refs, cfg.Pages)
-	return Build(name, cores, baseSeed, func(seed int64) (trace.Trace, error) {
+	return generate(name, cores, baseSeed, func(seed int64, _ *memlog.FreeList) (trace.Trace, error) {
 		return SyntheticTrace(cfg, seed)
 	})
 }

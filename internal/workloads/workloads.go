@@ -18,7 +18,9 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 
+	"hbmsim/internal/memlog"
 	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
 )
@@ -28,9 +30,15 @@ import (
 const DefaultPageBytes = 4096
 
 // Gen produces one core's page trace from a seed. Build renumbers a
-// Gen's trace into a slice of its own and never writes into the one the
-// Gen returned, so a Gen may return a slice it shares or keeps.
+// copy of the trace a Gen returns and never writes into the Gen's own
+// slice, so a Gen may return a slice it shares or keeps.
 type Gen func(seed int64) (trace.Trace, error)
+
+// coreGen produces one core's page trace for build, which renumbers it
+// in place: the trace must be the generator's own fresh slice. An
+// instrumented run takes its log chunks from free, which build shares
+// among the cores it generates.
+type coreGen func(seed int64, free *memlog.FreeList) (trace.Trace, error)
 
 // Build runs gen once per core (with seeds baseSeed, baseSeed+1, ...) in
 // parallel and assembles the disjoint workload: core i's pages follow
@@ -39,27 +47,46 @@ type Gen func(seed int64) (trace.Trace, error)
 // so it fans out across goroutines, and each core is renumbered in the
 // goroutine that generated it.
 func Build(name string, cores int, baseSeed int64, gen Gen) (*trace.Workload, error) {
+	return generate(name, cores, baseSeed, copied(gen))
+}
+
+// copied adapts a caller's Gen to build, which renumbers in place, by
+// handing build a copy of each trace.
+func copied(gen Gen) coreGen {
+	return func(seed int64, _ *memlog.FreeList) (trace.Trace, error) {
+		tr, err := gen(seed)
+		return slices.Clone(tr), err
+	}
+}
+
+// generate is Build for a generator whose traces build may renumber in
+// place: the built-in ones.
+func generate(name string, cores int, baseSeed int64, gen coreGen) (*trace.Workload, error) {
 	wl, _, err := build(name, cores, baseSeed, gen, 0)
 	return wl, err
 }
 
-// build is Build with the workload's pages numbered from first rather
-// than 0; it also returns the workload's distinct-page count.
-func build(name string, cores int, baseSeed int64, gen Gen, first model.PageID) (*trace.Workload, model.PageID, error) {
+// build is generate with the workload's pages numbered from first rather
+// than 0; it also returns the workload's distinct-page count. The cores
+// share one free list of log chunks, so the build holds the access logs
+// of only the cores in flight, and each core's renumbered trace is the
+// one gen returned.
+func build(name string, cores int, baseSeed int64, gen coreGen, first model.PageID) (*trace.Workload, model.PageID, error) {
 	if cores <= 0 {
 		return nil, 0, fmt.Errorf("workloads: core count must be positive, got %d", cores)
 	}
 	traces := make([]trace.Trace, cores)
 	unique := make([]int, cores)
 	errs := make([]error, cores)
+	var free memlog.FreeList
 	trace.Parallel(cores, func(i int) {
-		raw, err := gen(baseSeed + int64(i))
+		tr, err := gen(baseSeed+int64(i), &free)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		traces[i] = make(trace.Trace, len(raw))
-		unique[i] = trace.Renumber(traces[i], raw, 0)
+		unique[i] = trace.Renumber(tr, tr, 0)
+		traces[i] = tr
 	})
 	for i, err := range errs {
 		if err != nil {

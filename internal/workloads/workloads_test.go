@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"sync"
 	"testing"
 
+	"hbmsim/internal/core"
 	"hbmsim/internal/trace"
 )
 
@@ -130,6 +132,52 @@ func TestBuildNeverWritesGenSlice(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConcurrentBuildsMatchSerial builds one spec of each generator that
+// logs through memlog from four goroutines at once. Every workload must
+// hash as the serial build's does. Each core logs past a chunk boundary,
+// and a Build's cores share one free list of log chunks, so under the
+// race detector (make test-race) this test also checks the sharing.
+func TestConcurrentBuildsMatchSerial(t *testing.T) {
+	specs := []Spec{
+		{Gen: "sort", Size: 1500}, {Gen: "mergesort", Size: 1500},
+		{Gen: "quicksort", Size: 1500}, {Gen: "heapsort", Size: 1500},
+		{Gen: "spgemm", Size: 64}, {Gen: "densemm", Size: 16},
+		{Gen: "stream", Size: 3000}, {Gen: "bfs", Size: 1000},
+	}
+	want := make([]uint64, len(specs))
+	for i := range specs {
+		specs[i].Cores, specs[i].PageBytes, specs[i].Seed = 3, 8, 5
+		wl, err := specs[i].Build()
+		if err != nil {
+			t.Fatalf("%s: %v", specs[i].Gen, err)
+		}
+		for c, tr := range wl.Traces {
+			if len(tr) <= 8192 {
+				t.Fatalf("%s core %d logs %d accesses, within one chunk", specs[i].Gen, c, len(tr))
+			}
+		}
+		want[i] = core.WorkloadHash(wl.Raw())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, sp := range specs {
+				wl, err := sp.Build()
+				if err != nil {
+					t.Errorf("goroutine %d, %s: %v", g, sp.Gen, err)
+					continue
+				}
+				if h := core.WorkloadHash(wl.Raw()); h != want[i] {
+					t.Errorf("goroutine %d, %s: WorkloadHash %#016x, serial build %#016x", g, sp.Gen, h, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func assertSameWorkload(t *testing.T, got, want *trace.Workload) {
