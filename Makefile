@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR25.json
+BENCH_OUT ?= BENCH_PR26.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
@@ -25,7 +25,7 @@ BENCH_OUT ?= BENCH_PR25.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR24.json
+BENCH_BASE ?= BENCH_PR25.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -141,8 +141,8 @@ profile:
 	@echo "wrote profiles/cpu.out profiles/mem.out (binary: profiles/core.test)"
 
 # Short fuzzing pass over the trace codecs, page renumbering, the
-# construction scan, the checkpoint format, log recovery and
-# result-cache entries.
+# construction scan, the checkpoint format, log recovery,
+# result-cache entries and the miss-ratio curve.
 fuzz:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=30s ./internal/trace/
@@ -153,6 +153,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzLogRecover -fuzztime=30s ./internal/durable/
 	$(GO) test -fuzz=FuzzReadEntry -fuzztime=30s ./internal/resultcache/
+	$(GO) test -fuzz=FuzzCurve -fuzztime=30s ./internal/stackdist/
 
 # Quick fuzzing smoke for `make check`: a few seconds per fuzzer, enough
 # to catch gross codec or snapshot-validation breakage.
@@ -166,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzLogRecover -fuzztime=$(SMOKE_FUZZTIME) ./internal/durable/
 	$(GO) test -fuzz=FuzzReadEntry -fuzztime=$(SMOKE_FUZZTIME) ./internal/resultcache/
+	$(GO) test -fuzz=FuzzCurve -fuzztime=$(SMOKE_FUZZTIME) ./internal/stackdist/
 
 # Doc-drift gate: every fenced sh/go block in the listed docs must match
 # the tree — Go examples compile, documented flags exist, make targets

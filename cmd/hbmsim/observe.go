@@ -12,6 +12,7 @@ import (
 	"hbmsim/internal/durable"
 	"hbmsim/internal/introspect"
 	"hbmsim/internal/report"
+	"hbmsim/internal/sweep"
 )
 
 // telemetryOptions collects the CLI's observability and checkpointing
@@ -158,11 +159,7 @@ func runObserved(ctx context.Context, cfg hbmsim.Config, wl *hbmsim.Workload, op
 		refreshProgress = func() {
 			served := total - sim.Remaining()
 			elapsed := time.Since(start)
-			var eta time.Duration
-			if served > 0 && served < total {
-				eta = time.Duration(float64(elapsed) / float64(served) * float64(total-served))
-			}
-			opts.progress.Update(served, total, 0, elapsed, eta)
+			opts.progress.Update(served, total, 0, elapsed, sweep.ETA(served, total, elapsed))
 		}
 	}
 

@@ -36,6 +36,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if wl.Cores() == 0 {
+		fail(fmt.Errorf("%s: trace has no cores", *tracePath))
+	}
 	var ks []int
 	for _, s := range strings.Split(*ksFlag, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))

@@ -346,6 +346,8 @@ func ImbalanceWorkload(wl *Workload, minFrac float64) (*Workload, error) {
 type ReuseCurve = stackdist.Curve
 
 // ReuseCurveOf computes the miss-ratio curve of one trace in O(n log n).
+// The curve keeps one count per stack distance, so it holds memory in
+// proportion to the trace's distinct pages, not its length.
 func ReuseCurveOf(tr Trace) ReuseCurve { return stackdist.CurveOf(tr) }
 
 // OptimalPartition splits k HBM slots among per-core curves to minimise

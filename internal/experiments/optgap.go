@@ -68,14 +68,7 @@ func optGapStudy(o Options) (*Outcome, error) {
 		final := tracker.Snapshot()
 		tbl.AddRow(sc.name, uint64(res.Makespan), uint64(final.LowerBound),
 			live, batchRatio, final.UniquePages, final.P90Distance, final.MissRatio)
-		pts := make([]report.OptGapPoint, 0, len(tracker.Points())+1)
-		for _, pt := range tracker.Points() {
-			pts = append(pts, report.OptGapPoint{Tick: float64(pt.Tick), Ratio: pt.Ratio})
-		}
-		if n := len(tracker.Points()); n == 0 || tracker.Points()[n-1].Tick != final.Tick {
-			pts = append(pts, report.OptGapPoint{Tick: float64(final.Tick), Ratio: final.Ratio})
-		}
-		series = append(series, report.OptGapSeries(sc.name, pts))
+		series = append(series, report.OptGapSeries(sc.name, tracker))
 		if live != batchRatio {
 			return nil, fmt.Errorf("optgap: %s: streaming ratio %.17g diverged from batch %.17g", sc.name, live, batchRatio)
 		}

@@ -48,9 +48,10 @@ func (s *Service) runShardedSweep(ctx context.Context, j *job, jobs []sweep.Job)
 	start := time.Now()
 	pushProg := func() {
 		mu.Lock()
+		elapsed := time.Since(start)
 		p := sweep.Progress{
 			Completed: completed, Total: len(jobs), Failed: len(errs),
-			Elapsed: time.Since(start),
+			Elapsed: elapsed, ETA: sweep.ETA(completed, len(jobs), elapsed),
 		}
 		mu.Unlock()
 		s.pushProgress(j, p)

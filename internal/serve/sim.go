@@ -146,9 +146,8 @@ type simProgress struct {
 func (p *simProgress) flush(served int, final bool) {
 	elapsed := time.Since(p.start)
 	prog := sweep.Progress{Completed: served, Total: p.total, Elapsed: elapsed}
-	if !final && served > 0 && served < p.total {
-		perRef := elapsed / time.Duration(served)
-		prog.ETA = perRef * time.Duration(p.total-served)
+	if !final {
+		prog.ETA = sweep.ETA(served, p.total, elapsed)
 	}
 	var og *OptGapView
 	if p.tracker != nil {

@@ -17,12 +17,14 @@ func benchTrace(n, pages int) trace.Trace {
 	return tr
 }
 
-func BenchmarkDistances(b *testing.B) {
+// BenchmarkCurveOf builds a curve from a whole trace: the position and
+// distance trees, the last-use map, and the finished curve's counts.
+func BenchmarkCurveOf(b *testing.B) {
 	tr := benchTrace(1<<16, 1<<10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Distances(tr)
+		CurveOf(tr)
 	}
 	b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }

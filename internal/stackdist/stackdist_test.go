@@ -2,6 +2,7 @@ package stackdist
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,65 @@ import (
 	"hbmsim/internal/replacement"
 	"hbmsim/internal/trace"
 )
+
+// Distances is the test reference for Streaming and Curve: Mattson's
+// LRU stack walked one access at a time. It returns, for each access,
+// the 1-based depth of its page in the stack of pages ordered by last
+// use (the number of distinct pages referenced since the page's
+// previous access, itself included), or -1 for a first touch. It shares
+// no code with the package and runs in O(n * distinct pages).
+func Distances(tr trace.Trace) []int64 {
+	out := make([]int64, len(tr))
+	var stack []model.PageID // least recently used first
+	for i, p := range tr {
+		out[i] = -1
+		for j := len(stack) - 1; j >= 0; j-- {
+			if stack[j] == p {
+				out[i] = int64(len(stack) - j)
+				stack = append(stack[:j], stack[j+1:]...)
+				break
+			}
+		}
+		stack = append(stack, p)
+	}
+	return out
+}
+
+// refMisses counts the accesses that miss in an LRU cache of k slots
+// given their reference distances: every access at k <= 0, else the cold
+// ones and those at a distance above k.
+func refMisses(ds []int64, k int) uint64 {
+	var m uint64
+	for _, d := range ds {
+		if k <= 0 || d < 0 || d > int64(k) {
+			m++
+		}
+	}
+	return m
+}
+
+// refQuantile returns the distance at index int(q*(n-1)) of the n sorted
+// finite reference distances (the first for q <= 0, the last for
+// q >= 1), or 0 when there are none.
+func refQuantile(ds []int64, q float64) int64 {
+	var fin []int64
+	for _, d := range ds {
+		if d >= 0 {
+			fin = append(fin, d)
+		}
+	}
+	if len(fin) == 0 {
+		return 0
+	}
+	sort.Slice(fin, func(i, j int) bool { return fin[i] < fin[j] })
+	switch {
+	case q <= 0:
+		return fin[0]
+	case q >= 1:
+		return fin[len(fin)-1]
+	}
+	return fin[int(q*float64(len(fin)-1))]
+}
 
 func TestDistancesHandCases(t *testing.T) {
 	tr := trace.Trace{1, 2, 3, 1, 2, 2, 3}
@@ -106,8 +166,8 @@ func TestCurveMonotone(t *testing.T) {
 		}
 		prev = m
 	}
-	if c.Misses(64) != c.cold {
-		t.Fatalf("full-size cache should see only cold misses: %d vs %d", c.Misses(64), c.cold)
+	if c.Misses(64) != uint64(c.Unique()) {
+		t.Fatalf("full-size cache should see only cold misses: %d vs %d", c.Misses(64), c.Unique())
 	}
 }
 

@@ -17,9 +17,9 @@ func TestStreamingHandCases(t *testing.T) {
 			t.Fatalf("access %d (page %d): distance %d, want %d", i, p, got, want[i])
 		}
 	}
-	if s.Total() != 7 || s.Unique() != 3 || s.FiniteReuses() != 4 {
-		t.Fatalf("aggregates: total=%d unique=%d finite=%d",
-			s.Total(), s.Unique(), s.FiniteReuses())
+	if s.Total() != 7 || s.Unique() != 3 || s.Misses(3) != 3 {
+		t.Fatalf("aggregates: total=%d unique=%d misses(3)=%d",
+			s.Total(), s.Unique(), s.Misses(3))
 	}
 }
 
@@ -34,8 +34,8 @@ func TestStreamingFirstTouches(t *testing.T) {
 			t.Fatalf("first touch of page %d: distance %d, want -1", i, d)
 		}
 	}
-	if s.FiniteReuses() != 0 || s.MaxDistance() != 0 {
-		t.Fatalf("finite=%d max=%d", s.FiniteReuses(), s.MaxDistance())
+	if s.Total() != n || s.Unique() != n {
+		t.Fatalf("total=%d unique=%d, want %d each", s.Total(), s.Unique(), n)
 	}
 	for _, k := range []int{0, 1, 50, 1000} {
 		if got := s.Misses(k); got != n {
@@ -97,15 +97,16 @@ func TestStreamingBeyondCapacity(t *testing.T) {
 	if got, want := s.Misses(w), uint64(w); got != want {
 		t.Fatalf("Misses(%d) = %d, want %d (only cold misses at the loop size)", w, got, want)
 	}
-	if got := s.CountLE(int64(w) * 10); got != s.FiniteReuses() {
-		t.Fatalf("CountLE beyond max distance: %d, want all %d reuses", got, s.FiniteReuses())
+	if got := s.Misses(w * 10); got != w {
+		t.Fatalf("Misses(%d) = %d, want %d (far beyond the largest distance)", w*10, got, w)
 	}
 }
 
 // TestStreamingMatchesBatch is the defining differential property: an
-// access-by-access replay through Streaming reports exactly the
-// distances, misses, and quantiles of the batch Distances/CurveOf path,
-// on random traces long enough to force position-Fenwick regrowth.
+// access-by-access replay through Streaming, and CurveOf over the whole
+// trace, report exactly the distances, misses, and quantiles the Mattson
+// reference Distances gives, on random traces long enough to force the
+// position tree to regrow.
 func TestStreamingMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []struct {
@@ -123,55 +124,100 @@ func TestStreamingMatchesBatch(t *testing.T) {
 			for i := range tr {
 				tr[i] = model.PageID(rng.Intn(sh.pages))
 			}
-			batch := Distances(tr)
-			curve := CurveOf(tr)
-			s := NewStreaming()
-			for i, p := range tr {
-				if d := s.Observe(p); d != batch[i] {
-					t.Fatalf("access %d: streaming distance %d, batch %d", i, d, batch[i])
-				}
-			}
-			if s.Total() != curve.Total() || s.Unique() != curve.Unique() {
-				t.Fatalf("aggregates: streaming total=%d unique=%d, batch total=%d unique=%d",
-					s.Total(), s.Unique(), curve.Total(), curve.Unique())
-			}
-			for k := 0; k <= sh.pages+2; k++ {
-				if sm, bm := s.Misses(k), curve.Misses(k); sm != bm {
-					t.Fatalf("Misses(%d): streaming %d, batch %d", k, sm, bm)
-				}
-				if sr, br := s.MissRatio(k), curve.MissRatio(k); sr != br {
-					t.Fatalf("MissRatio(%d): streaming %g, batch %g", k, sr, br)
-				}
-			}
-			for _, q := range []float64{-0.5, 0, 0.1, 0.5, 0.9, 0.99, 1, 1.5} {
-				if sq, bq := s.DistanceQuantile(q), curve.DistanceQuantile(q); sq != bq {
-					t.Fatalf("DistanceQuantile(%g): streaming %d, batch %d", q, sq, bq)
-				}
-			}
+			checkAgainstReference(t, tr)
 		})
 	}
+}
+
+// checkAgainstReference compares a Streaming fed tr access by access, and
+// CurveOf(tr), with what the reference Distances gives for tr: each
+// access's distance, the totals, Misses and MissRatio at every k from 0
+// to the distinct-page count plus 1, and DistanceQuantile inside and
+// outside [0, 1].
+func checkAgainstReference(t *testing.T, tr trace.Trace) {
+	t.Helper()
+	ref := Distances(tr)
+	s := NewStreaming()
+	for i, p := range tr {
+		if d := s.Observe(p); d != ref[i] {
+			t.Fatalf("access %d: streaming distance %d, reference %d", i, d, ref[i])
+		}
+	}
+	unique := int(refMisses(ref, len(tr)+1))
+	for name, c := range map[string]Curve{"Streaming": s.Curve, "CurveOf": CurveOf(tr)} {
+		if c.Total() != uint64(len(tr)) || c.Unique() != unique {
+			t.Fatalf("%s: total=%d unique=%d, reference total=%d unique=%d",
+				name, c.Total(), c.Unique(), len(tr), unique)
+		}
+		for k := 0; k <= unique+1; k++ {
+			want := refMisses(ref, k)
+			if got := c.Misses(k); got != want {
+				t.Fatalf("%s: Misses(%d) = %d, reference %d", name, k, got, want)
+			}
+			wantRatio := 0.0
+			if len(tr) > 0 {
+				wantRatio = float64(want) / float64(len(tr))
+			}
+			if got := c.MissRatio(k); got != wantRatio {
+				t.Fatalf("%s: MissRatio(%d) = %g, reference %g", name, k, got, wantRatio)
+			}
+		}
+		for _, q := range []float64{-0.5, 0, 0.1, 0.5, 0.9, 0.99, 1, 1.5} {
+			if got, want := c.DistanceQuantile(q), refQuantile(ref, q); got != want {
+				t.Fatalf("%s: DistanceQuantile(%g) = %d, reference %d", name, q, got, want)
+			}
+		}
+	}
+}
+
+// TestPooledDistanceQuantile checks the pooled quantile over several
+// curves against the reference quantile of their concatenated distances.
+func TestPooledDistanceQuantile(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var curves []Curve
+	var all []int64
+	for i, pages := range []int{3, 40, 1500} {
+		tr := make(trace.Trace, 2000*(i+1))
+		for j := range tr {
+			tr[j] = model.PageID(rng.Intn(pages))
+		}
+		curves = append(curves, CurveOf(tr))
+		all = append(all, Distances(tr)...)
+	}
+	for _, q := range []float64{-0.5, 0, 0.1, 0.5, 0.9, 0.99, 1, 1.5} {
+		if got, want := DistanceQuantile(curves, q), refQuantile(all, q); got != want {
+			t.Fatalf("pooled DistanceQuantile(%g) = %d, reference %d", q, got, want)
+		}
+	}
+	if got := DistanceQuantile(nil, 0.5); got != 0 {
+		t.Fatalf("no curves: quantile %d, want 0", got)
+	}
+}
+
+// FuzzCurve holds Streaming and CurveOf to the Mattson reference on
+// arbitrary traces; each input byte is one access to one of 256 pages.
+func FuzzCurve(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, 64)) // one page repeated
+	long := make([]byte, 3000)
+	rand.New(rand.NewSource(1)).Read(long)
+	f.Add(long) // regrows the position tree past 1024 and 2048
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tr := make(trace.Trace, len(raw))
+		for i, b := range raw {
+			tr[i] = model.PageID(b)
+		}
+		checkAgainstReference(t, tr)
+	})
 }
 
 // TestStreamingEmpty pins the before-first-access state.
 func TestStreamingEmpty(t *testing.T) {
 	s := NewStreaming()
-	if s.Total() != 0 || s.Misses(4) != 0 || s.MissRatio(4) != 0 ||
-		s.DistanceQuantile(0.9) != 0 || s.CountLE(10) != 0 {
+	if s.Total() != 0 || s.Unique() != 0 || s.Misses(4) != 0 || s.MissRatio(4) != 0 ||
+		s.DistanceQuantile(0.9) != 0 {
 		t.Fatal("empty tracker should report zeros everywhere")
 	}
-}
-
-func BenchmarkStreamingObserve(b *testing.B) {
-	tr := benchTrace(1<<16, 1<<10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NewStreaming()
-		for _, p := range tr {
-			s.Observe(p)
-		}
-	}
-	b.ReportMetric(float64(len(tr))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }
 
 func BenchmarkStreamingQueries(b *testing.B) {

@@ -72,6 +72,17 @@ type Progress struct {
 	ETA time.Duration
 }
 
+// ETA extrapolates the wall time left once completed of total items took
+// elapsed: the mean time per item, kept in floating point so a rate under
+// a nanosecond per item is not rounded away, times the items left. It is
+// 0 before the first item completes and once every item has.
+func ETA(completed, total int, elapsed time.Duration) time.Duration {
+	if completed <= 0 || completed >= total {
+		return 0
+	}
+	return time.Duration(float64(elapsed) / float64(completed) * float64(total-completed))
+}
+
 // Options configures RunContext beyond the job list.
 type Options struct {
 	// Workers bounds pool size; <= 0 selects GOMAXPROCS.
@@ -198,16 +209,12 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) []Row {
 			return
 		}
 		elapsed := time.Since(start)
-		var eta time.Duration
-		if remaining := len(jobs) - done; remaining > 0 {
-			eta = time.Duration(float64(elapsed) / float64(done) * float64(remaining))
-		}
 		opts.OnProgress(Progress{
 			Completed: done,
 			Total:     len(jobs),
 			Failed:    failedN,
 			Elapsed:   elapsed,
-			ETA:       eta,
+			ETA:       ETA(done, len(jobs), elapsed),
 		})
 	}
 

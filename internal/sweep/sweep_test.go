@@ -205,6 +205,29 @@ func TestRunContextProgressSequence(t *testing.T) {
 	}
 }
 
+// TestETA pins the one extrapolation every progress report uses,
+// including a rate under a nanosecond per item, which integer division
+// of the elapsed time would round down to zero.
+func TestETA(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		completed, total int
+		elapsed, want    time.Duration
+	}{
+		{"nothing done", 0, 10, time.Second, 0},
+		{"everything done", 10, 10, time.Second, 0},
+		{"past the total", 11, 10, time.Second, 0},
+		{"empty", 0, 0, 0, 0},
+		{"a quarter done", 1, 4, 3 * time.Second, 9 * time.Second},
+		{"under a nanosecond each", 1000, 3000, 500 * time.Nanosecond, 1000 * time.Nanosecond},
+		{"7.5 ns each", 2, 12_600_002, 15 * time.Nanosecond, 94_500_000 * time.Nanosecond},
+	} {
+		if got := ETA(tc.completed, tc.total, tc.elapsed); got != tc.want {
+			t.Errorf("%s: ETA(%d, %d, %v) = %v, want %v", tc.name, tc.completed, tc.total, tc.elapsed, got, tc.want)
+		}
+	}
+}
+
 func TestRunContextMetrics(t *testing.T) {
 	wl := testWorkload()
 	jobs := []Job{

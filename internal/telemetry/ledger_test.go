@@ -13,6 +13,7 @@ import (
 	"hbmsim/internal/metrics"
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
+	"hbmsim/internal/trace"
 )
 
 // eventMeter is the event-counting reference for the Meter: the
@@ -150,6 +151,8 @@ func TestOnlyTheMeterReadsCounters(t *testing.T) {
 // hitStretchTraces is core's BenchmarkSimHitStretch shape: p cores, each
 // cycling a resident working set of span pages with a cold miss every
 // period refs, so almost the whole run is contention-free stretches.
+// Pages are renumbered densely, as generated workloads are, so the
+// benchmark times New's one-pass path, not its renumbering copy.
 func hitStretchTraces(p, refsPerCore, span, period int) [][]model.PageID {
 	ts := make([][]model.PageID, p)
 	for i := range ts {
@@ -166,6 +169,7 @@ func hitStretchTraces(p, refsPerCore, span, period int) [][]model.PageID {
 		}
 		ts[i] = tr
 	}
+	trace.RenumberAll(ts, ts)
 	return ts
 }
 

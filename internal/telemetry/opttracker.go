@@ -58,7 +58,8 @@ type OptTracker struct {
 	k, q   int
 	window model.Tick
 
-	curves        []*stackdist.Streaming
+	builders      []*stackdist.Streaming
+	curves        []stackdist.Curve // the builders' curves, refreshed per snapshot
 	perCoreServes []uint64
 	maxServes     uint64
 	serves        uint64
@@ -96,7 +97,7 @@ func NewOptTracker(reg *metrics.Registry, cores, k, q int, window model.Tick) *O
 		k:             k,
 		q:             q,
 		window:        window,
-		curves:        make([]*stackdist.Streaming, cores),
+		builders:      make([]*stackdist.Streaming, cores),
 		perCoreServes: make([]uint64, cores),
 
 		ratioG: reg.FloatGauge("competitive_ratio",
@@ -110,8 +111,8 @@ func NewOptTracker(reg *metrics.Registry, cores, k, q int, window model.Tick) *O
 		distH: reg.Histogram("optgap_stack_distance_pages", "LRU stack distance of each reuse, in pages",
 			metrics.ExpBuckets(1, 2, 20)), // 1..512Ki pages, +Inf
 	}
-	for i := range t.curves {
-		t.curves[i] = stackdist.NewStreaming()
+	for i := range t.builders {
+		t.builders[i] = stackdist.NewStreaming()
 	}
 	return t
 }
@@ -127,11 +128,11 @@ func (t *OptTracker) WindowTicks() model.Tick { return t.window }
 // OnServe implements core.Observer: it feeds the core's streaming
 // stack-distance curve and the serve aggregates the lower bound needs.
 func (t *OptTracker) OnServe(c model.CoreID, p model.PageID, _, _ model.Tick) {
-	for int(c) >= len(t.curves) { // defensive: cores beyond the declared count
-		t.curves = append(t.curves, stackdist.NewStreaming())
+	for int(c) >= len(t.builders) { // defensive: cores beyond the declared count
+		t.builders = append(t.builders, stackdist.NewStreaming())
 		t.perCoreServes = append(t.perCoreServes, 0)
 	}
-	if d := t.curves[c].Observe(p); d < 0 {
+	if d := t.builders[c].Observe(p); d < 0 {
 		t.unique++
 	} else {
 		t.distH.Observe(float64(d))
@@ -183,16 +184,24 @@ func (t *OptTracker) Serves() uint64 { return t.serves }
 func (t *OptTracker) UniquePages() int { return t.unique }
 
 // snapshotAt builds the windowed point for the given tick. The curve
-// queries are O(cores * log n) and run once per window, not per tick.
+// queries are O(cores * log^2 n) and run once per window, not per tick.
 func (t *OptTracker) snapshotAt(tick model.Tick, b lowerbound.Bounds) OptPoint {
+	t.curves = t.curves[:0]
+	for _, s := range t.builders {
+		t.curves = append(t.curves, s.Curve)
+	}
+	var missRatio float64
+	if t.serves > 0 {
+		missRatio = float64(stackdist.EvenPartition(t.curves, t.k)) / float64(t.serves)
+	}
 	return OptPoint{
 		Tick:        tick,
 		Serves:      t.serves,
 		UniquePages: t.unique,
 		LowerBound:  b.Makespan,
 		Ratio:       lowerbound.Ratio(tick, b),
-		MissRatio:   t.evenMissRatio(),
-		P90Distance: t.mergedQuantile(0.9),
+		MissRatio:   missRatio,
+		P90Distance: stackdist.DistanceQuantile(t.curves, 0.9),
 	}
 }
 
@@ -205,76 +214,22 @@ func (t *OptTracker) Snapshot() OptPoint { return t.snapshotAt(t.lastTick, t.bou
 // is the tracker's own storage; treat it as read-only.
 func (t *OptTracker) Points() []OptPoint { return t.points }
 
-// evenMissRatio returns the cumulative miss ratio with the k slots split
-// evenly across cores (stackdist.EvenPartition's split).
-func (t *OptTracker) evenMissRatio() float64 {
-	if t.serves == 0 {
-		return 0
-	}
-	share := t.k / len(t.curves)
-	extra := t.k % len(t.curves)
-	var misses uint64
-	for i, c := range t.curves {
-		kk := share
-		if i < extra {
-			kk++
-		}
-		misses += c.Misses(kk)
-	}
-	return float64(misses) / float64(t.serves)
-}
-
-// mergedQuantile returns the q-quantile of the finite stack distances
-// pooled across all cores, using the same rank convention as
-// stackdist.Curve.DistanceQuantile.
-func (t *OptTracker) mergedQuantile(q float64) int64 {
-	var finite uint64
-	var maxDist int64
-	for _, c := range t.curves {
-		finite += c.FiniteReuses()
-		if d := c.MaxDistance(); d > maxDist {
-			maxDist = d
-		}
-	}
-	if finite == 0 {
-		return 0
-	}
-	var rank uint64
-	switch {
-	case q <= 0:
-		rank = 0
-	case q >= 1:
-		rank = finite - 1
-	default:
-		rank = uint64(q * float64(finite-1))
-	}
-	lo, hi := int64(1), maxDist
-	for lo < hi {
-		mid := (lo + hi) / 2
-		var le uint64
-		for _, c := range t.curves {
-			le += c.CountLE(mid)
-		}
-		if le > rank {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// WriteCSV writes one row per closed window — plus a final row for the
-// live state when the run ended mid-window — so the optimality series
-// can be plotted alongside a Timeline CSV.
-func (t *OptTracker) WriteCSV(out io.Writer) error {
-	bw := newErrWriter(out)
-	bw.writeString("tick,serves,unique_pages,lower_bound,competitive_ratio,miss_ratio,p90_stack_distance\n")
+// Series returns the run's optimality series: the closed windows, plus
+// the live point when the run ended mid-window.
+func (t *OptTracker) Series() []OptPoint {
 	pts := t.points
 	if n := len(pts); t.lastTick > 0 && (n == 0 || pts[n-1].Tick != t.lastTick) {
 		pts = append(pts[:n:n], t.Snapshot())
 	}
-	for _, p := range pts {
+	return pts
+}
+
+// WriteCSV writes one row per point of Series, so the optimality series
+// can be plotted alongside a Timeline CSV.
+func (t *OptTracker) WriteCSV(out io.Writer) error {
+	bw := newErrWriter(out)
+	bw.writeString("tick,serves,unique_pages,lower_bound,competitive_ratio,miss_ratio,p90_stack_distance\n")
+	for _, p := range t.Series() {
 		fmt.Fprintf(bw, "%d,%d,%d,%d,%.6g,%.6g,%d\n",
 			p.Tick, p.Serves, p.UniquePages, uint64(p.LowerBound), p.Ratio, p.MissRatio, p.P90Distance)
 	}
