@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR26.json
+BENCH_OUT ?= BENCH_PR27.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
@@ -25,7 +25,7 @@ BENCH_OUT ?= BENCH_PR26.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR25.json
+BENCH_BASE ?= BENCH_PR26.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -42,10 +42,11 @@ SMOKE_FUZZTIME ?= 5s
 # the far-memory backends every simulated transfer now flows through, plus
 # the durable-file package every crash-safe write goes through, plus the
 # HBM store, replacement policies and arbiters whose contracts the
-# kernel's differential tests rest on.
+# kernel's differential tests rest on, plus the experiment suite that
+# regenerates the paper's tables.
 COVER_OUT ?= coverage.out
 COVER_FLOOR ?= 70
-COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend hbmsim/internal/durable hbmsim/internal/hbm hbmsim/internal/replacement hbmsim/internal/arbiter
+COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend hbmsim/internal/durable hbmsim/internal/hbm hbmsim/internal/replacement hbmsim/internal/arbiter hbmsim/internal/experiments
 
 .PHONY: all check build vet test test-short test-race e2e-multinode bench bench-json bench-diff cover profile fuzz fuzz-smoke docsmoke repro repro-full figures clean
 

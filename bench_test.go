@@ -88,11 +88,16 @@ func BenchmarkAblationImbalance(b *testing.B)    { benchExperiment(b, "imbalance
 func BenchmarkAblationDirectMapped(b *testing.B) { benchExperiment(b, "directmap") }
 
 // Extensions: Corollary 1 in the main simulator, clairvoyant baselines,
-// Theorem 2's augmentation, and the miss-ratio-curve analysis.
+// Theorem 2's augmentation, the far-memory backends and the
+// miss-ratio-curve analysis. Timeline and OptGap run each policy with an
+// observer attached.
 func BenchmarkAblationMapping(b *testing.B)      { benchExperiment(b, "mapping") }
 func BenchmarkAblationOffline(b *testing.B)      { benchExperiment(b, "offline") }
 func BenchmarkAblationAugmentation(b *testing.B) { benchExperiment(b, "augmentation") }
 func BenchmarkAblationLatency(b *testing.B)      { benchExperiment(b, "latency") }
+func BenchmarkExtensionBackends(b *testing.B)    { benchExperiment(b, "backends") }
 func BenchmarkAnalysisMissRatio(b *testing.B)    { benchExperiment(b, "missratio") }
 func BenchmarkAnalysisResponseCDF(b *testing.B)  { benchExperiment(b, "responsecdf") }
+func BenchmarkAnalysisTimeline(b *testing.B)     { benchExperiment(b, "timeline") }
 func BenchmarkAnalysisVariance(b *testing.B)     { benchExperiment(b, "variance") }
+func BenchmarkAnalysisOptGap(b *testing.B)       { benchExperiment(b, "optgap") }

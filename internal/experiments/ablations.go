@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hbmsim/internal/arbiter"
-	"hbmsim/internal/core"
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
 	"hbmsim/internal/report"
@@ -17,21 +16,23 @@ import (
 // "number of channels to DRAM (1-10)" dimension and the regime of
 // Theorem 3's O(q) bound) for FIFO and Priority on SpGEMM.
 func ablChannels(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 
 	var jobs []sweep.Job
 	qs := []int{1, 2, 3, 4, 6, 8, 10}
 	for _, q := range qs {
 		seed := o.Seed + int64(q)
+		fifoCfg := fifo.config(o, k, seed)
+		fifoCfg.Channels = q
+		prioCfg := priority.config(o, k, seed+1)
+		prioCfg.Channels = q
 		jobs = append(jobs,
-			sweep.Job{Name: fmt.Sprintf("FIFO q=%d", q), Config: fifoConfig(q)(k, seed), Workload: sub},
-			sweep.Job{Name: fmt.Sprintf("Priority q=%d", q), Config: priorityConfig(q)(k, seed+1), Workload: sub},
+			sweep.Job{Name: fmt.Sprintf("FIFO q=%d", q), Config: fifoCfg, Workload: wl},
+			sweep.Job{Name: fmt.Sprintf("Priority q=%d", q), Config: prioCfg, Workload: wl},
 		)
 	}
 	rows := o.run(jobs)
@@ -39,7 +40,7 @@ func ablChannels(o Options) (*Outcome, error) {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Far-channel count sweep on %s (p=%d, k=%d)", sub.Name, p, k),
+		fmt.Sprintf("Far-channel count sweep on %s (p=%d, k=%d)", wl.Name, p, k),
 		"q", "FIFO makespan", "Priority makespan", "ratio", "FIFO util", "Priority util")
 	series := []report.Series{{Name: "FIFO"}, {Name: "Priority"}}
 	var r1, rMax float64
@@ -74,28 +75,20 @@ func ablChannels(o Options) (*Outcome, error) {
 // both arbiters — the paper's theory keeps LRU throughout but names the
 // classical alternatives (§2).
 func ablReplacement(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 
 	var jobs []sweep.Job
 	kinds := replacement.Kinds()
-	arbs := []arbiter.Kind{arbiter.FIFO, arbiter.Priority}
-	for _, a := range arbs {
+	arbs := []scheme{fifo, priority}
+	for _, sc := range arbs {
 		for _, rk := range kinds {
-			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("%s+%s", a, rk),
-				Config: core.Config{
-					HBMSlots: k, Channels: o.Channels,
-					Arbiter: a, Replacement: rk,
-					Seed: o.Seed + int64(len(jobs)),
-				},
-				Workload: sub,
-			})
+			cfg := sc.config(o, k, o.Seed+int64(len(jobs)))
+			cfg.Replacement = rk
+			jobs = append(jobs, sweep.Job{Name: fmt.Sprintf("%s+%s", sc.kind, rk), Config: cfg, Workload: wl})
 		}
 	}
 	rows := o.run(jobs)
@@ -103,15 +96,15 @@ func ablReplacement(o Options) (*Outcome, error) {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Replacement-policy ablation on %s (p=%d, k=%d, q=%d)", sub.Name, p, k, o.Channels),
+		fmt.Sprintf("Replacement-policy ablation on %s (p=%d, k=%d, q=%d)", wl.Name, p, k, o.Channels),
 		"arbiter", "replacement", "makespan", "hitrate", "inconsistency")
 	i := 0
 	var lruMk, worstMk float64
-	for _, a := range arbs {
+	for _, sc := range arbs {
 		for _, rk := range kinds {
 			res := rows[i].Result
-			tbl.AddRow(string(a), string(rk), uint64(res.Makespan), res.HitRate(), res.Inconsistency)
-			if a == arbiter.Priority && rk == replacement.LRU {
+			tbl.AddRow(string(sc.kind), string(rk), uint64(res.Makespan), res.HitRate(), res.Inconsistency)
+			if sc.kind == arbiter.Priority && rk == replacement.LRU {
 				lruMk = float64(res.Makespan)
 			}
 			if float64(res.Makespan) > worstMk {
@@ -131,39 +124,28 @@ func ablReplacement(o Options) (*Outcome, error) {
 
 // ablPermuters compares every permuter family at the recommended T.
 func ablPermuters(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 	T := model.Tick(o.DynamicT * float64(k))
 
 	perms := arbiter.PermuterKinds()
 	jobs := make([]sweep.Job, len(perms))
 	for i, pk := range perms {
-		remap := T
+		sc := scheme{name: string(pk), kind: arbiter.Priority, perm: pk, tMult: o.DynamicT}
 		if pk == arbiter.Static {
-			remap = 0
+			sc.tMult = 0
 		}
-		jobs[i] = sweep.Job{
-			Name: string(pk),
-			Config: core.Config{
-				HBMSlots: k, Channels: o.Channels,
-				Arbiter: arbiter.Priority, Permuter: pk, RemapPeriod: remap,
-				Replacement: replacement.LRU,
-				Seed:        o.Seed + int64(i),
-			},
-			Workload: sub,
-		}
+		jobs[i] = sweep.Job{Name: sc.name, Config: sc.config(o, k, o.Seed+int64(i)), Workload: wl}
 	}
 	rows := o.run(jobs)
 	if err := sweep.FirstError(rows); err != nil {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Permuter ablation on %s (p=%d, k=%d, T=%d)", sub.Name, p, k, T),
+		fmt.Sprintf("Permuter ablation on %s (p=%d, k=%d, T=%d)", wl.Name, p, k, T),
 		"permuter", "makespan", "inconsistency", "response mean", "response max")
 	var statInc, dynInc float64
 	for i, pk := range perms {
@@ -189,35 +171,24 @@ func ablPermuters(o Options) (*Outcome, error) {
 // "continuously places the same thread behind the most demanding thread"
 // on asymmetric workloads, while Dynamic Priority stays robust.
 func ablImbalance(o Options) (*Outcome, error) {
-	base, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	balanced, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := base.Subset(p)
-	wl, err := workloads.Imbalance(sub, 0.2)
+	imbalanced, err := workloads.Imbalance(balanced, 0.2)
 	if err != nil {
 		return nil, err
 	}
-	k := tradeoffSlots(o)
 	T := model.Tick(o.DynamicT * float64(k))
 
-	type cfg struct {
-		name string
-		perm arbiter.PermuterKind
-	}
-	cfgs := []cfg{{"Dynamic Priority", arbiter.Dynamic}, {"Cycle Priority", arbiter.Cycle}}
+	schemes := []scheme{dynamic(o.DynamicT).named("Dynamic Priority"), cycle(o.DynamicT).named("Cycle Priority")}
 	var jobs []sweep.Job
-	for i, c := range cfgs {
-		for wi, w := range []*trace.Workload{sub, wl} {
+	for i, sc := range schemes {
+		for wi, w := range []*trace.Workload{balanced, imbalanced} {
 			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("%s/%s", c.name, w.Name),
-				Config: core.Config{
-					HBMSlots: k, Channels: o.Channels,
-					Arbiter: arbiter.Priority, Permuter: c.perm, RemapPeriod: T,
-					Replacement: replacement.LRU,
-					Seed:        o.Seed + int64(10*i+wi),
-				},
+				Name:     fmt.Sprintf("%s/%s", sc.name, w.Name),
+				Config:   sc.config(o, k, o.Seed+int64(10*i+wi)),
 				Workload: w,
 			})
 		}
@@ -231,12 +202,12 @@ func ablImbalance(o Options) (*Outcome, error) {
 		"scheme", "workload", "makespan", "inconsistency", "response max")
 	var dynMaxResp, cycMaxResp float64
 	i := 0
-	for _, c := range cfgs {
+	for _, sc := range schemes {
 		for _, label := range []string{"balanced", "imbalanced"} {
 			res := rows[i].Result
-			tbl.AddRow(c.name, label, uint64(res.Makespan), res.Inconsistency, res.ResponseMax)
+			tbl.AddRow(sc.name, label, uint64(res.Makespan), res.Inconsistency, res.ResponseMax)
 			if label == "imbalanced" {
-				if c.perm == arbiter.Dynamic {
+				if sc.perm == arbiter.Dynamic {
 					dynMaxResp = res.ResponseMax
 				} else {
 					cycMaxResp = res.ResponseMax

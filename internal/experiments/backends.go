@@ -16,13 +16,11 @@ import (
 // memory model costs and whether the paper's policy ordering survives
 // it.
 func extBackends(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 
 	backends := []struct {
 		name string
@@ -35,13 +33,13 @@ func extBackends(o Options) (*Outcome, error) {
 	var jobs []sweep.Job
 	for i, be := range backends {
 		seed := o.Seed + int64(400+2*i)
-		fifoCfg := fifoConfig(o.Channels)(k, seed)
+		fifoCfg := fifo.config(o, k, seed)
 		fifoCfg.Backend = be.cfg
-		prioCfg := priorityConfig(o.Channels)(k, seed+1)
+		prioCfg := priority.config(o, k, seed+1)
 		prioCfg.Backend = be.cfg
 		jobs = append(jobs,
-			sweep.Job{Name: fmt.Sprintf("FIFO %s", be.name), Config: fifoCfg, Workload: sub},
-			sweep.Job{Name: fmt.Sprintf("Priority %s", be.name), Config: prioCfg, Workload: sub},
+			sweep.Job{Name: fmt.Sprintf("FIFO %s", be.name), Config: fifoCfg, Workload: wl},
+			sweep.Job{Name: fmt.Sprintf("Priority %s", be.name), Config: prioCfg, Workload: wl},
 		)
 	}
 	rows := o.run(jobs)
@@ -49,7 +47,7 @@ func extBackends(o Options) (*Outcome, error) {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Memory-backend comparison on %s (p=%d, k=%d, q=%d)", sub.Name, p, k, o.Channels),
+		fmt.Sprintf("Memory-backend comparison on %s (p=%d, k=%d, q=%d)", wl.Name, p, k, o.Channels),
 		"backend", "FIFO makespan", "Priority makespan", "FIFO/Priority", "FIFO resp mean", "channel util")
 	var refRatio, rMin, rMax float64
 	rMin = 1e18

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -112,6 +114,11 @@ func TestOptionsValidate(t *testing.T) {
 		t.Error("zero tradeoff threads accepted")
 	}
 	bad = tiny()
+	bad.TradeoffSlots = bad.Channels - 1
+	if err := bad.Validate(); err == nil {
+		t.Error("tradeoff HBM size below channels accepted")
+	}
+	bad = tiny()
 	bad.Backend = membackend.Config{Kind: "warp-drive"}
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown backend accepted")
@@ -119,8 +126,9 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestBackendOverride pins the hbmsweep -backend plumbing: Options.Backend
-// reaches every sweep job that did not choose its own backend, and leaves
-// explicit choices (the backends experiment) alone.
+// reaches every job that did not choose its own backend, on the sweep
+// path and the observed-run path alike, and leaves explicit choices (the
+// backends experiment) alone.
 func TestBackendOverride(t *testing.T) {
 	o := tiny()
 	o.Backend = membackend.Config{Kind: membackend.Bandwidth}
@@ -137,13 +145,60 @@ func TestBackendOverride(t *testing.T) {
 		t.Errorf("explicit job backend = %q, want hybrid (override must not clobber it)", jobs[1].Config.Backend.Kind)
 	}
 
-	// End to end: a small experiment under the override still completes.
-	out, err := Run("fig2a", o)
-	if err != nil {
-		t.Fatalf("fig2a under bandwidth backend: %v", err)
+	// End to end: every experiment that simulates under the default model
+	// prints other tables under the override. The rest do not simulate,
+	// or (missratio) read only the traces, or (backends) pick their own.
+	if testing.Short() {
+		t.Skip("integration sweep")
 	}
-	if len(out.Tables) == 0 || out.Tables[0].Len() == 0 {
-		t.Fatal("fig2a under bandwidth backend produced no rows")
+	unaffected := map[string]bool{
+		"table2a": true, "table2b": true, "fig6": true, "knl-properties": true,
+		"directmap": true, "missratio": true, "backends": true,
+	}
+	for _, id := range IDs() {
+		base, err := Run(id, tiny())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		over, err := Run(id, o)
+		if err != nil {
+			t.Fatalf("%s under the bandwidth backend: %v", id, err)
+		}
+		if differ := tablesCSV(t, base) != tablesCSV(t, over); differ == unaffected[id] {
+			t.Errorf("%s: tables differ under the bandwidth backend = %v, want %v", id, differ, !unaffected[id])
+		}
+	}
+}
+
+// TestTruncatedRunFailsItsExperiment: a run that hits the tick cap fails
+// its experiment on the sweep path (fig5a, variance's replicated sweep)
+// and on the observed-run path (timeline, optgap). One slot on one
+// channel livelocks the model: a landed page is evicted before its core
+// is served.
+func TestTruncatedRunFailsItsExperiment(t *testing.T) {
+	o := tiny()
+	o.TradeoffSlots, o.Channels = 1, 1
+	for _, id := range []string{"fig5a", "variance", "timeline", "optgap"} {
+		_, err := Run(id, o)
+		var trunc *core.TruncatedError
+		if !errors.As(err, &trunc) {
+			t.Errorf("%s: err = %v, want a *core.TruncatedError", id, err)
+		}
+	}
+}
+
+// TestObservedRunHonoursCancellation: a cancelled context stops the
+// observed-run path before it simulates, as it stops a sweep's
+// undispatched jobs.
+func TestObservedRunHonoursCancellation(t *testing.T) {
+	o := tiny()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o.Ctx = ctx
+	for _, id := range []string{"timeline", "optgap"} {
+		if _, err := Run(id, o); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", id, err)
+		}
 	}
 }
 

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"hbmsim/internal/arbiter"
 	"hbmsim/internal/core"
 	"hbmsim/internal/lowerbound"
 	"hbmsim/internal/replacement"
 	"hbmsim/internal/report"
 	"hbmsim/internal/stackdist"
 	"hbmsim/internal/sweep"
+	"hbmsim/internal/trace"
 	"hbmsim/internal/workloads"
 )
 
@@ -17,13 +17,11 @@ import (
 // HBM a constant factor larger performs within a constant factor of the
 // fully-associative HBM, under both arbiters.
 func ablMapping(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 
 	type variant struct {
 		name    string
@@ -36,19 +34,13 @@ func ablMapping(o Options) (*Outcome, error) {
 		{"direct-mapped 2k", core.MappingDirect, 2 * k},
 		{"direct-mapped 4k", core.MappingDirect, 4 * k},
 	}
+	arbs := []scheme{fifo, priority}
 	var jobs []sweep.Job
-	for _, a := range []arbiter.Kind{arbiter.FIFO, arbiter.Priority} {
+	for _, sc := range arbs {
 		for i, v := range variants {
-			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("%s/%s", a, v.name),
-				Config: core.Config{
-					HBMSlots: v.slots, Channels: o.Channels,
-					Arbiter: a, Mapping: v.mapping,
-					Replacement: replacement.LRU,
-					Seed:        o.Seed + int64(i),
-				},
-				Workload: sub,
-			})
+			cfg := sc.config(o, v.slots, o.Seed+int64(i))
+			cfg.Mapping = v.mapping
+			jobs = append(jobs, sweep.Job{Name: fmt.Sprintf("%s/%s", sc.kind, v.name), Config: cfg, Workload: wl})
 		}
 	}
 	rows := o.run(jobs)
@@ -56,11 +48,11 @@ func ablMapping(o Options) (*Outcome, error) {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Associative vs direct-mapped HBM on %s (p=%d, base k=%d, q=%d)", sub.Name, p, k, o.Channels),
+		fmt.Sprintf("Associative vs direct-mapped HBM on %s (p=%d, base k=%d, q=%d)", wl.Name, p, k, o.Channels),
 		"arbiter", "organisation", "slots", "makespan", "hitrate", "vs assoc")
 	var worst4x float64
 	i := 0
-	for range []arbiter.Kind{arbiter.FIFO, arbiter.Priority} {
+	for range arbs {
 		base := rows[i].Result
 		for vi, v := range variants {
 			res := rows[i].Result
@@ -86,37 +78,29 @@ func ablMapping(o Options) (*Outcome, error) {
 // baseline and the makespan lower bound, estimating empirical competitive
 // ratios (Theorems 1-2's subject matter).
 func ablOffline(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
-	bounds := lowerbound.Compute(sub, k, o.Channels)
+	bounds := lowerbound.Compute(wl, k, o.Channels)
 
 	type pol struct {
 		name string
-		arb  arbiter.Kind
+		sc   scheme
 		repl replacement.Kind
 	}
 	pols := []pol{
-		{"FIFO+LRU", arbiter.FIFO, replacement.LRU},
-		{"Priority+LRU", arbiter.Priority, replacement.LRU},
-		{"FIFO+Belady", arbiter.FIFO, replacement.Belady},
-		{"Priority+Belady", arbiter.Priority, replacement.Belady},
+		{"FIFO+LRU", fifo, replacement.LRU},
+		{"Priority+LRU", priority, replacement.LRU},
+		{"FIFO+Belady", fifo, replacement.Belady},
+		{"Priority+Belady", priority, replacement.Belady},
 	}
 	jobs := make([]sweep.Job, len(pols))
 	for i, pl := range pols {
-		jobs[i] = sweep.Job{
-			Name: pl.name,
-			Config: core.Config{
-				HBMSlots: k, Channels: o.Channels,
-				Arbiter: pl.arb, Replacement: pl.repl,
-				Seed: o.Seed + int64(i),
-			},
-			Workload: sub,
-		}
+		cfg := pl.sc.config(o, k, o.Seed+int64(i))
+		cfg.Replacement = pl.repl
+		jobs[i] = sweep.Job{Name: pl.name, Config: cfg, Workload: wl}
 	}
 	rows := o.run(jobs)
 	if err := sweep.FirstError(rows); err != nil {
@@ -124,7 +108,7 @@ func ablOffline(o Options) (*Outcome, error) {
 	}
 	tbl := report.NewTable(
 		fmt.Sprintf("Online policies vs the clairvoyant baseline on %s (p=%d, k=%d, q=%d; LB=%d)",
-			sub.Name, p, k, o.Channels, bounds.Makespan),
+			wl.Name, p, k, o.Channels, bounds.Makespan),
 		"policy", "makespan", "hitrate", "makespan/LB")
 	var prioRatio, fifoRatio float64
 	for i, pl := range pols {
@@ -162,23 +146,13 @@ func ablAugmentation(o Options) (*Outcome, error) {
 	}
 	k := workloads.AdversarialHBMSlots(p, cfg)
 
-	prioJob := sweep.Job{
-		Name:     "Priority baseline",
-		Config:   core.Config{HBMSlots: k, Channels: o.Channels, Arbiter: arbiter.Priority, Seed: o.Seed},
-		Workload: wl,
-	}
 	type aug struct{ d, s int }
 	augs := []aug{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 1}, {1, 4}, {4, 4}}
-	jobs := []sweep.Job{prioJob}
+	jobs := []sweep.Job{{Name: "Priority baseline", Config: priority.config(o, k, o.Seed), Workload: wl}}
 	for i, a := range augs {
-		jobs = append(jobs, sweep.Job{
-			Name: fmt.Sprintf("FIFO d=%d s=%d", a.d, a.s),
-			Config: core.Config{
-				HBMSlots: a.d * k, Channels: a.s * o.Channels,
-				Arbiter: arbiter.FIFO, Seed: o.Seed + int64(i+1),
-			},
-			Workload: wl,
-		})
+		cfg := fifo.config(o, a.d*k, o.Seed+int64(i+1))
+		cfg.Channels = a.s * o.Channels
+		jobs = append(jobs, sweep.Job{Name: fmt.Sprintf("FIFO d=%d s=%d", a.d, a.s), Config: cfg, Workload: wl})
 	}
 	rows := o.run(jobs)
 	if err := sweep.FirstError(rows); err != nil {
@@ -216,43 +190,28 @@ func ablAugmentation(o Options) (*Outcome, error) {
 // workloads and compares optimal static partitioning with the even split
 // FIFO approximates — the analysis that explains Figure 2's crossovers.
 func ablMissRatio(o Options) (*Outcome, error) {
-	sortWl, err := sortWorkload(o)
-	if err != nil {
-		return nil, err
-	}
-	spWl, err := spgemmWorkload(o)
-	if err != nil {
-		return nil, err
-	}
-
 	p := o.TradeoffThreads
 	tbl := report.NewTable(
 		fmt.Sprintf("LRU miss-ratio curves (per core) and static partitioning of k slots over p=%d cores", p),
 		"workload", "k", "miss ratio (1 core)", "optimal-partition misses", "even-split misses", "even/optimal")
 	var series []report.Series
 	var worstEvenOpt float64
-	for _, wl := range []*struct {
-		name   string
-		curves []stackdist.Curve
-	}{
-		{sortWl.Name, nil},
-		{spWl.Name, nil},
-	} {
-		src := sortWl
-		if wl.name == spWl.Name {
-			src = spWl
+	for _, build := range []func(Options, int) (*trace.Workload, error){sortWorkload, spgemmWorkload} {
+		wl, err := build(o, p)
+		if err != nil {
+			return nil, err
 		}
-		sub := src.Subset(p)
-		for _, tr := range sub.Traces {
-			wl.curves = append(wl.curves, stackdist.CurveOf(tr))
+		curves := make([]stackdist.Curve, len(wl.Traces))
+		for i, tr := range wl.Traces {
+			curves[i] = stackdist.CurveOf(tr)
 		}
-		s := report.Series{Name: wl.name}
+		s := report.Series{Name: wl.Name}
 		for _, k := range o.HBMSlots {
-			_, optMisses, err := stackdist.OptimalPartition(wl.curves, k)
+			_, optMisses, err := stackdist.OptimalPartition(curves, k)
 			if err != nil {
 				return nil, err
 			}
-			evenMisses := stackdist.EvenPartition(wl.curves, k)
+			evenMisses := stackdist.EvenPartition(curves, k)
 			ratio := 0.0
 			if optMisses > 0 {
 				ratio = float64(evenMisses) / float64(optMisses)
@@ -260,9 +219,9 @@ func ablMissRatio(o Options) (*Outcome, error) {
 			if ratio > worstEvenOpt {
 				worstEvenOpt = ratio
 			}
-			tbl.AddRow(wl.name, k, wl.curves[0].MissRatio(k), optMisses, evenMisses, ratio)
+			tbl.AddRow(wl.Name, k, curves[0].MissRatio(k), optMisses, evenMisses, ratio)
 			s.X = append(s.X, float64(k))
-			s.Y = append(s.Y, wl.curves[0].MissRatio(k))
+			s.Y = append(s.Y, curves[0].MissRatio(k))
 		}
 		series = append(series, s)
 	}

@@ -2,67 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"hbmsim/internal/arbiter"
-	"hbmsim/internal/core"
-	"hbmsim/internal/model"
-	"hbmsim/internal/replacement"
 	"hbmsim/internal/report"
 	"hbmsim/internal/trace"
 )
 
-// fifoConfig is plain FCFS+LRU.
-func fifoConfig(q int) func(k int, seed int64) core.Config {
-	return func(k int, seed int64) core.Config {
-		return core.Config{
-			HBMSlots:    k,
-			Channels:    q,
-			Arbiter:     arbiter.FIFO,
-			Replacement: replacement.LRU,
-			Seed:        seed,
-		}
-	}
-}
-
-// priorityConfig is static Priority+LRU.
-func priorityConfig(q int) func(k int, seed int64) core.Config {
-	return func(k int, seed int64) core.Config {
-		return core.Config{
-			HBMSlots:    k,
-			Channels:    q,
-			Arbiter:     arbiter.Priority,
-			Permuter:    arbiter.Static,
-			Replacement: replacement.LRU,
-			Seed:        seed,
-		}
-	}
-}
-
-// dynamicConfig is Dynamic Priority+LRU with T = mult*k.
-func dynamicConfig(q int, mult float64) func(k int, seed int64) core.Config {
-	return func(k int, seed int64) core.Config {
-		return core.Config{
-			HBMSlots:    k,
-			Channels:    q,
-			Arbiter:     arbiter.Priority,
-			Permuter:    arbiter.Dynamic,
-			RemapPeriod: model.Tick(mult * float64(k)),
-			Replacement: replacement.LRU,
-			Seed:        seed,
-		}
-	}
-}
-
 // figure2 is the shared implementation of Figures 2a/2b: FIFO vs static
 // Priority across thread counts and HBM sizes.
 func figure2(id, dataset string, o Options, wl *trace.Workload, claim string) (*Outcome, error) {
-	st := ratioStudy{
-		base:     fifoConfig(o.Channels),
-		comp:     priorityConfig(o.Channels),
-		baseName: "FIFO",
-		compName: "Priority",
-	}
-	tbl, series, ext, err := st.run(o, wl)
+	tbl, series, ext, err := ratioStudy(o, wl, fifo, priority)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +27,7 @@ func figure2(id, dataset string, o Options, wl *trace.Workload, claim string) (*
 }
 
 func figure2a(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	wl, err := spgemmWorkload(o, slices.Max(o.Threads))
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +36,7 @@ func figure2a(o Options) (*Outcome, error) {
 }
 
 func figure2b(o Options) (*Outcome, error) {
-	wl, err := sortWorkload(o)
+	wl, err := sortWorkload(o, slices.Max(o.Threads))
 	if err != nil {
 		return nil, err
 	}
@@ -98,13 +47,7 @@ func figure2b(o Options) (*Outcome, error) {
 // figure4 is the shared implementation of Figures 4a/4b: FIFO vs Dynamic
 // Priority with T = DynamicT * k.
 func figure4(id, dataset string, o Options, wl *trace.Workload, claim string) (*Outcome, error) {
-	st := ratioStudy{
-		base:     fifoConfig(o.Channels),
-		comp:     dynamicConfig(o.Channels, o.DynamicT),
-		baseName: "FIFO",
-		compName: "DynamicPriority",
-	}
-	tbl, series, ext, err := st.run(o, wl)
+	tbl, series, ext, err := ratioStudy(o, wl, fifo, dynamic(o.DynamicT).named("DynamicPriority"))
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +63,7 @@ func figure4(id, dataset string, o Options, wl *trace.Workload, claim string) (*
 }
 
 func figure4a(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	wl, err := spgemmWorkload(o, slices.Max(o.Threads))
 	if err != nil {
 		return nil, err
 	}
@@ -129,24 +72,10 @@ func figure4a(o Options) (*Outcome, error) {
 }
 
 func figure4b(o Options) (*Outcome, error) {
-	wl, err := sortWorkload(o)
+	wl, err := sortWorkload(o, slices.Max(o.Threads))
 	if err != nil {
 		return nil, err
 	}
 	return figure4("fig4b", "GNU sort", o, wl,
 		"randomized remapping mitigates FIFO's low-thread-count advantage: Dynamic Priority is as good as or better than FIFO everywhere")
-}
-
-// randomConfig is the purely random arbiter (Dynamic Priority's T→1
-// limit) with LRU.
-func randomConfig(q int) func(k int, seed int64) core.Config {
-	return func(k int, seed int64) core.Config {
-		return core.Config{
-			HBMSlots:    k,
-			Channels:    q,
-			Arbiter:     arbiter.Random,
-			Replacement: replacement.LRU,
-			Seed:        seed,
-		}
-	}
 }

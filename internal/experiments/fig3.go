@@ -29,8 +29,8 @@ func figure3(o Options) (*Outcome, error) {
 		k := workloads.AdversarialHBMSlots(p, cfg)
 		seed := o.Seed + int64(p)
 		jobs = append(jobs,
-			sweep.Job{Name: fmt.Sprintf("FIFO p=%d", p), Config: fifoConfig(o.Channels)(k, seed), Workload: wl},
-			sweep.Job{Name: fmt.Sprintf("Priority p=%d", p), Config: priorityConfig(o.Channels)(k, seed+1), Workload: wl},
+			sweep.Job{Name: fmt.Sprintf("FIFO p=%d", p), Config: fifo.config(o, k, seed), Workload: wl},
+			sweep.Job{Name: fmt.Sprintf("Priority p=%d", p), Config: priority.config(o, k, seed+1), Workload: wl},
 		)
 		ps = append(ps, p)
 	}

@@ -4,82 +4,35 @@ import (
 	"fmt"
 
 	"hbmsim/internal/arbiter"
-	"hbmsim/internal/core"
-	"hbmsim/internal/model"
-	"hbmsim/internal/replacement"
 	"hbmsim/internal/report"
 	"hbmsim/internal/sweep"
 	"hbmsim/internal/trace"
 )
 
-// scheme is one queuing policy in the Figure 5 / Table 1 comparison.
-type scheme struct {
-	name string
-	// tMult is the remap interval in units of k (0 = no remapping).
-	tMult float64
-	kind  arbiter.Kind
-	perm  arbiter.PermuterKind
-}
-
-// tradeoffSchemes builds the paper's scheme list: FIFO, Dynamic Priority
-// and Cycle Priority at each T, and static Priority.
-func tradeoffSchemes(o Options) []scheme {
-	out := []scheme{{name: "FIFO", kind: arbiter.FIFO}}
-	for _, m := range o.RemapMultipliers {
-		out = append(out, scheme{
-			name:  fmt.Sprintf("Dynamic Priority T=%gk", m),
-			tMult: m, kind: arbiter.Priority, perm: arbiter.Dynamic,
-		})
-	}
-	for _, m := range o.RemapMultipliers {
-		out = append(out, scheme{
-			name:  fmt.Sprintf("Cycle Priority T=%gk", m),
-			tMult: m, kind: arbiter.Priority, perm: arbiter.Cycle,
-		})
-	}
-	out = append(out, scheme{name: "Priority", kind: arbiter.Priority, perm: arbiter.Static})
-	return out
-}
-
-// tradeoffRun executes every scheme on the workload at the tradeoff thread
-// count with k set by the middle HBM multiplier.
-func tradeoffRun(o Options, wl *trace.Workload) ([]scheme, []sweep.Row, int, error) {
-	k := tradeoffSlots(o)
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
+// tradeoffRun executes every scheme on the workload at the tradeoff
+// point: TradeoffThreads cores on TradeoffSlots slots.
+func tradeoffRun(o Options, wl *trace.Workload) ([]scheme, []sweep.Row, error) {
 	schemes := tradeoffSchemes(o)
 	jobs := make([]sweep.Job, len(schemes))
 	for i, sc := range schemes {
-		jobs[i] = sweep.Job{
-			Name: sc.name,
-			Config: core.Config{
-				HBMSlots:    k,
-				Channels:    o.Channels,
-				Arbiter:     sc.kind,
-				Permuter:    sc.perm,
-				RemapPeriod: model.Tick(sc.tMult * float64(k)),
-				Replacement: replacement.LRU,
-				Seed:        o.Seed + int64(100+i),
-			},
-			Workload: sub,
-		}
+		jobs[i] = sweep.Job{Name: sc.name, Config: sc.config(o, o.TradeoffSlots, o.Seed+int64(100+i)), Workload: wl}
 	}
 	rows := o.run(jobs)
 	if err := sweep.FirstError(rows); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	return schemes, rows, k, nil
+	return schemes, rows, nil
 }
 
 // figure5 reproduces Figure 5: the inconsistency/makespan trade-off across
 // permutation schemes and intervals.
 func figure5(id, dataset string, o Options, wl *trace.Workload) (*Outcome, error) {
-	schemes, rows, k, err := tradeoffRun(o, wl)
+	schemes, rows, err := tradeoffRun(o, wl)
 	if err != nil {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Scheme and T vs inconsistency and makespan on %s (p=%d, k=%d)", dataset, o.TradeoffThreads, k),
+		fmt.Sprintf("Scheme and T vs inconsistency and makespan on %s (p=%d, k=%d)", dataset, o.TradeoffThreads, o.TradeoffSlots),
 		"scheme", "T/k", "makespan", "inconsistency")
 	series := []report.Series{
 		{Name: "FIFO"}, {Name: "Dynamic"}, {Name: "Cycle"}, {Name: "Priority"},
@@ -133,7 +86,7 @@ func safeDiv(a, b float64) float64 {
 }
 
 func figure5a(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	wl, err := spgemmWorkload(o, o.TradeoffThreads)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +94,7 @@ func figure5a(o Options) (*Outcome, error) {
 }
 
 func figure5b(o Options) (*Outcome, error) {
-	wl, err := sortWorkload(o)
+	wl, err := sortWorkload(o, o.TradeoffThreads)
 	if err != nil {
 		return nil, err
 	}
@@ -151,12 +104,12 @@ func figure5b(o Options) (*Outcome, error) {
 // table1 reproduces Table 1: inconsistency and average response time per
 // queuing policy.
 func table1(id, dataset string, o Options, wl *trace.Workload) (*Outcome, error) {
-	schemes, rows, k, err := tradeoffRun(o, wl)
+	schemes, rows, err := tradeoffRun(o, wl)
 	if err != nil {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Inconsistency and average response time on %s (p=%d, k=%d)", dataset, o.TradeoffThreads, k),
+		fmt.Sprintf("Inconsistency and average response time on %s (p=%d, k=%d)", dataset, o.TradeoffThreads, o.TradeoffSlots),
 		"Queuing Policy", "Inconsistency", "Response Time")
 	var fifoResp, prioResp, fifoInc, prioInc float64
 	for i, sc := range schemes {
@@ -181,7 +134,7 @@ func table1(id, dataset string, o Options, wl *trace.Workload) (*Outcome, error)
 }
 
 func table1a(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	wl, err := spgemmWorkload(o, o.TradeoffThreads)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +142,7 @@ func table1a(o Options) (*Outcome, error) {
 }
 
 func table1b(o Options) (*Outcome, error) {
-	wl, err := sortWorkload(o)
+	wl, err := sortWorkload(o, o.TradeoffThreads)
 	if err != nil {
 		return nil, err
 	}

@@ -13,13 +13,17 @@ var update = flag.Bool("update", false, "rewrite testdata/outcomes.golden")
 
 const goldenPath = "testdata/outcomes.golden"
 
-// goldenSection renders one Outcome's headline and tables, as CSV, in
-// the form outcomes.golden stores them.
+// goldenSection renders one Outcome's headline and tables in the form
+// outcomes.golden stores them.
 func goldenSection(t *testing.T, out *Outcome) string {
 	t.Helper()
+	return "=== " + out.ID + "\nheadline: " + out.Headline + "\n" + tablesCSV(t, out)
+}
+
+// tablesCSV renders an Outcome's tables, each as its title and its CSV.
+func tablesCSV(t *testing.T, out *Outcome) string {
+	t.Helper()
 	var b strings.Builder
-	b.WriteString("=== " + out.ID + "\n")
-	b.WriteString("headline: " + out.Headline + "\n")
 	for _, tbl := range out.Tables {
 		b.WriteString("--- " + tbl.Title + "\n")
 		if err := tbl.WriteCSV(&b); err != nil {

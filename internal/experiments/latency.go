@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"hbmsim/internal/core"
-	"hbmsim/internal/model"
 	"hbmsim/internal/report"
 	"hbmsim/internal/sweep"
 )
@@ -15,25 +13,23 @@ import (
 // claim — should survive; this ablation verifies that the FIFO/Priority
 // gap is latency-robust.
 func ablLatency(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 
 	lats := []int{1, 2, 4, 8, 16}
 	var jobs []sweep.Job
 	for _, l := range lats {
 		seed := o.Seed + int64(l)
-		fifoCfg := fifoConfig(o.Channels)(k, seed)
+		fifoCfg := fifo.config(o, k, seed)
 		fifoCfg.FetchLatency = l
-		prioCfg := priorityConfig(o.Channels)(k, seed+1)
+		prioCfg := priority.config(o, k, seed+1)
 		prioCfg.FetchLatency = l
 		jobs = append(jobs,
-			sweep.Job{Name: fmt.Sprintf("FIFO L=%d", l), Config: fifoCfg, Workload: sub},
-			sweep.Job{Name: fmt.Sprintf("Priority L=%d", l), Config: prioCfg, Workload: sub},
+			sweep.Job{Name: fmt.Sprintf("FIFO L=%d", l), Config: fifoCfg, Workload: wl},
+			sweep.Job{Name: fmt.Sprintf("Priority L=%d", l), Config: prioCfg, Workload: wl},
 		)
 	}
 	rows := o.run(jobs)
@@ -41,7 +37,7 @@ func ablLatency(o Options) (*Outcome, error) {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Far-channel transfer latency sweep on %s (p=%d, k=%d, q=%d, pipelined)", sub.Name, p, k, o.Channels),
+		fmt.Sprintf("Far-channel transfer latency sweep on %s (p=%d, k=%d, q=%d, pipelined)", wl.Name, p, k, o.Channels),
 		"latency", "FIFO makespan", "Priority makespan", "ratio")
 	var r1, rMax, rMin float64
 	rMin = 1e18
@@ -74,35 +70,25 @@ func ablLatency(o Options) (*Outcome, error) {
 // from the per-run histogram — the starvation quantification behind
 // Table 1's averages and standard deviations.
 func ablResponseCDF(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 
 	schemes := tradeoffSchemes(o)
 	jobs := make([]sweep.Job, len(schemes))
 	for i, sc := range schemes {
-		jobs[i] = sweep.Job{
-			Name: sc.name,
-			Config: core.Config{
-				HBMSlots: k, Channels: o.Channels,
-				Arbiter: sc.kind, Permuter: sc.perm,
-				RemapPeriod:      model.Tick(sc.tMult * float64(k)),
-				CollectHistogram: true,
-				Seed:             o.Seed + int64(200+i),
-			},
-			Workload: sub,
-		}
+		cfg := sc.config(o, k, o.Seed+int64(200+i))
+		cfg.CollectHistogram = true
+		jobs[i] = sweep.Job{Name: sc.name, Config: cfg, Workload: wl}
 	}
 	rows := o.run(jobs)
 	if err := sweep.FirstError(rows); err != nil {
 		return nil, err
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Response-time distribution on %s (p=%d, k=%d; log2-bucket upper bounds)", sub.Name, p, k),
+		fmt.Sprintf("Response-time distribution on %s (p=%d, k=%d; log2-bucket upper bounds)", wl.Name, p, k),
 		"policy", "p50", "p90", "p99", "p99.9", "max", "max serve gap", "Jain fairness")
 	var fifoMax, prioMax float64
 	for i, sc := range schemes {

@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"hbmsim/internal/arbiter"
-	"hbmsim/internal/core"
 	"hbmsim/internal/lowerbound"
 	"hbmsim/internal/model"
-	"hbmsim/internal/replacement"
 	"hbmsim/internal/report"
+	"hbmsim/internal/sweep"
 	"hbmsim/internal/telemetry"
 )
 
@@ -19,49 +18,26 @@ import (
 // converges to the batch lowerbound.Ratio at run end — the property the
 // /metrics competitive_ratio gauge relies on.
 func optGapStudy(o Options) (*Outcome, error) {
-	wl, err := sortWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := sortWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	k := tradeoffSlots(o)
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
 
-	schemes := []scheme{
-		{name: "FIFO", kind: arbiter.FIFO},
-		{name: "Priority", kind: arbiter.Priority, perm: arbiter.Static},
-		{name: fmt.Sprintf("Dynamic Priority T=%gk", o.DynamicT),
-			tMult: o.DynamicT, kind: arbiter.Priority, perm: arbiter.Dynamic},
-	}
-
-	batch := lowerbound.Compute(sub, k, o.Channels)
+	schemes := []scheme{fifo, priority, dynamic(o.DynamicT)}
+	batch := lowerbound.Compute(wl, k, o.Channels)
 	tbl := report.NewTable(
-		fmt.Sprintf("Streaming vs batch optimality on %s (p=%d, k=%d, q=%d)", sub.Name, p, k, o.Channels),
+		fmt.Sprintf("Streaming vs batch optimality on %s (p=%d, k=%d, q=%d)", wl.Name, p, k, o.Channels),
 		"scheme", "makespan", "lower bound", "live ratio", "batch ratio", "unique pages", "p90 dist", "miss ratio")
 	var series []report.Series
 	var headline string
 	for i, sc := range schemes {
-		if o.Ctx != nil && o.Ctx.Err() != nil {
-			return nil, o.Ctx.Err()
-		}
-		cfg := core.Config{
-			HBMSlots:    k,
-			Channels:    o.Channels,
-			Arbiter:     sc.kind,
-			Permuter:    sc.perm,
-			RemapPeriod: model.Tick(sc.tMult * float64(k)),
-			Replacement: replacement.LRU,
-			Seed:        o.Seed + int64(100+i),
-		}
-		sim, err := core.New(cfg, sub.Raw())
+		tracker := telemetry.NewOptTracker(o.Metrics, wl.Cores(), k, o.Channels, model.Tick(o.OptGapWindow))
+		job := sweep.Job{Name: sc.name, Config: sc.config(o, k, o.Seed+int64(100+i)), Workload: wl}
+		res, err := o.runObserved(job, tracker)
 		if err != nil {
 			return nil, err
 		}
-		tracker := telemetry.NewOptTracker(o.Metrics, sub.Cores(), k, o.Channels, model.Tick(o.OptGapWindow))
-		sim.SetObserver(tracker)
-		for sim.Step() {
-		}
-		res := sim.Result()
 
 		live := tracker.Ratio()
 		batchRatio := lowerbound.Ratio(res.Makespan, batch)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"hbmsim/internal/core"
 	"hbmsim/internal/membackend"
 	"hbmsim/internal/metrics"
 	"hbmsim/internal/sweep"
@@ -92,14 +93,42 @@ func (o Options) runReplicated(jobs []sweep.Job, replicas int) []sweep.Replicate
 // applyBackend folds Options.Backend into jobs that did not pick their
 // own far-memory model.
 func (o Options) applyBackend(jobs []sweep.Job) {
-	if o.Backend.Kind == "" {
-		return
-	}
 	for i := range jobs {
-		if jobs[i].Config.Backend.Kind == "" {
-			jobs[i].Config.Backend = o.Backend
+		jobs[i].Config = o.withBackend(jobs[i].Config)
+	}
+}
+
+// withBackend returns cfg with Options.Backend as its far-memory model
+// when cfg did not pick its own.
+func (o Options) withBackend(cfg core.Config) core.Config {
+	if o.Backend.Kind != "" && cfg.Backend.Kind == "" {
+		cfg.Backend = o.Backend
+	}
+	return cfg
+}
+
+// runObserved runs one job with obs attached, for the experiments that
+// read a run as it goes rather than only its Result. It applies
+// Options.Backend as the sweeps do, refuses to start once Ctx is done,
+// as a sweep refuses its undispatched jobs, and returns a truncated
+// run's error.
+func (o Options) runObserved(job sweep.Job, obs core.Observer) (*core.Result, error) {
+	if o.Ctx != nil {
+		if err := context.Cause(o.Ctx); err != nil {
+			return nil, fmt.Errorf("experiments: job %q not run: %w", job.Name, err)
 		}
 	}
+	sim, err := core.New(o.withBackend(job.Config), job.Workload.Raw())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: job %q: %w", job.Name, err)
+	}
+	sim.SetObserver(obs)
+	for sim.Step() {
+	}
+	if err := sim.Err(); err != nil {
+		return nil, fmt.Errorf("experiments: job %q: %w", job.Name, err)
+	}
+	return sim.Result(), nil
 }
 
 func (o Options) sweepOptions() sweep.Options {
@@ -167,6 +196,9 @@ func (o Options) Validate() error {
 			return fmt.Errorf("experiments: HBM size %d below channel count %d", k, o.Channels)
 		}
 	}
+	if o.TradeoffSlots < o.Channels {
+		return fmt.Errorf("experiments: tradeoff HBM size %d below channel count %d", o.TradeoffSlots, o.Channels)
+	}
 	if o.Channels < 1 {
 		return fmt.Errorf("experiments: channels must be >= 1, got %d", o.Channels)
 	}
@@ -177,18 +209,4 @@ func (o Options) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// maxThreads returns the largest thread count in the axis.
-func (o Options) maxThreads() int {
-	max := 0
-	for _, p := range o.Threads {
-		if p > max {
-			max = p
-		}
-	}
-	if o.TradeoffThreads > max {
-		max = o.TradeoffThreads
-	}
-	return max
 }

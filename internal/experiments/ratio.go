@@ -3,26 +3,19 @@ package experiments
 import (
 	"fmt"
 
-	"hbmsim/internal/core"
 	"hbmsim/internal/report"
 	"hbmsim/internal/sweep"
 	"hbmsim/internal/trace"
 )
 
-// ratioStudy runs two policies over the (threads x HBM-size) grid and
-// reports base-makespan / comparison-makespan: the exact quantity plotted
-// in Figures 2 and 4 ("the ratio of FIFO's makespan to priority's
-// makespan; values greater than 1.0 show an advantage for priority").
-type ratioStudy struct {
-	// base and comp build the two configurations for a given HBM size k
-	// (base is the numerator, FIFO in the paper's figures).
-	base, comp         func(k int, seed int64) core.Config
-	baseName, compName string
-}
-
-// run executes the study and returns the ratio table, one chart series
-// per HBM size, and the extreme ratios for the headline.
-func (st ratioStudy) run(o Options, wl *trace.Workload) (*report.Table, []report.Series, ratioExtremes, error) {
+// ratioStudy runs two schemes over the (threads x HBM-size) grid and
+// reports base-makespan / comp-makespan: the exact quantity plotted in
+// Figures 2 and 4 ("the ratio of FIFO's makespan to priority's makespan;
+// values greater than 1.0 show an advantage for priority"). It returns
+// the ratio table, one chart series per HBM size, and the extreme ratios
+// for the headline. wl holds the largest thread count's cores; each row
+// runs on its prefix.
+func ratioStudy(o Options, wl *trace.Workload, base, comp scheme) (*report.Table, []report.Series, ratioExtremes, error) {
 	type cell struct{ pi, ki int }
 	var jobs []sweep.Job
 	var cells []cell
@@ -32,13 +25,13 @@ func (st ratioStudy) run(o Options, wl *trace.Workload) (*report.Table, []report
 			seed := o.Seed + int64(1000*pi+10*ki)
 			jobs = append(jobs,
 				sweep.Job{
-					Name:     fmt.Sprintf("%s p=%d k=%d", st.baseName, p, k),
-					Config:   st.base(k, seed),
+					Name:     fmt.Sprintf("%s p=%d k=%d", base.name, p, k),
+					Config:   base.config(o, k, seed),
 					Workload: sub,
 				},
 				sweep.Job{
-					Name:     fmt.Sprintf("%s p=%d k=%d", st.compName, p, k),
-					Config:   st.comp(k, seed+1),
+					Name:     fmt.Sprintf("%s p=%d k=%d", comp.name, p, k),
+					Config:   comp.config(o, k, seed+1),
 					Workload: sub,
 				})
 			cells = append(cells, cell{pi, ki})
@@ -56,7 +49,7 @@ func (st ratioStudy) run(o Options, wl *trace.Workload) (*report.Table, []report
 		series[ki].Name = fmt.Sprintf("k=%d", k)
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("%s makespan / %s makespan on %s (q=%d)", st.baseName, st.compName, wl.Name, o.Channels),
+		fmt.Sprintf("%s makespan / %s makespan on %s (q=%d)", base.name, comp.name, wl.Name, o.Channels),
 		headers...)
 
 	ratios := make([][]float64, len(o.Threads))

@@ -3,25 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"hbmsim/internal/core"
 	"hbmsim/internal/model"
 	"hbmsim/internal/report"
+	"hbmsim/internal/sweep"
 	"hbmsim/internal/telemetry"
 )
-
-// runTimeline executes one configuration with a Timeline collector
-// attached and returns both the windowed series and the run summary.
-func runTimeline(cfg core.Config, traces [][]model.PageID, window model.Tick) (*telemetry.Timeline, *core.Result, error) {
-	s, err := core.New(cfg, traces)
-	if err != nil {
-		return nil, nil, err
-	}
-	tl := telemetry.NewTimeline(window, len(traces), cfg.Channels)
-	s.SetObserver(tl)
-	for s.Step() {
-	}
-	return tl, s.Result(), nil
-}
 
 // timelineExperiment makes the paper's starvation story visible in time:
 // on the SpGEMM traces (the Table 1 setting), FIFO serves cores
@@ -34,13 +20,11 @@ func runTimeline(cfg core.Config, traces [][]model.PageID, window model.Tick) (*
 // resident cohort hit without ever entering the DRAM queue, so remaps
 // cannot reach it and Dynamic degenerates to Priority.)
 func timelineExperiment(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 	// Dynamic remaps every T = k ticks (the shortest interval in the
 	// paper's Figure 5 sweep) and each window spans ten remap periods:
 	// within one period a single permutation picks the channel winners,
@@ -49,23 +33,18 @@ func timelineExperiment(o Options) (*Outcome, error) {
 	// winners rotated every period" (Dynamic, fairness recovers).
 	window := 10 * model.Tick(k)
 
-	runs := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"FIFO", fifoConfig(o.Channels)(k, o.Seed)},
-		{"Priority", priorityConfig(o.Channels)(k, o.Seed+1)},
-		{"Dynamic T=1k", dynamicConfig(o.Channels, 1)(k, o.Seed+2)},
-	}
+	schemes := []scheme{fifo, priority, dynamic(1).named("Dynamic T=1k")}
 
 	tbl := report.NewTable(
 		fmt.Sprintf("Windowed fairness on %s (p=%d, k=%d, q=%d, window=%d ticks)",
-			sub.Name, p, k, o.Channels, window),
+			wl.Name, p, k, o.Channels, window),
 		"policy", "makespan", "windows", "min fairness", "mean fairness", "max serve gap")
 	var series []report.Series
-	meanFair := make(map[string]float64, len(runs))
-	for _, r := range runs {
-		tl, res, err := runTimeline(r.cfg, sub.Raw(), window)
+	meanFair := make(map[string]float64, len(schemes))
+	for i, sc := range schemes {
+		tl := telemetry.NewTimeline(window, p, o.Channels)
+		job := sweep.Job{Name: sc.name, Config: sc.config(o, k, o.Seed+int64(i)), Workload: wl}
+		res, err := o.runObserved(job, tl)
 		if err != nil {
 			return nil, err
 		}
@@ -82,9 +61,9 @@ func timelineExperiment(o Options) (*Outcome, error) {
 		if len(wins) > 0 {
 			mean = sum / float64(len(wins))
 		}
-		meanFair[r.name] = mean
-		tbl.AddRow(r.name, uint64(res.Makespan), len(wins), lo, mean, uint64(res.MaxServeGap))
-		series = append(series, report.TimelineSeries(r.name, tl))
+		meanFair[sc.name] = mean
+		tbl.AddRow(sc.name, uint64(res.Makespan), len(wins), lo, mean, uint64(res.MaxServeGap))
+		series = append(series, report.TimelineSeries(sc.name, tl))
 	}
 
 	return &Outcome{
@@ -93,9 +72,9 @@ func timelineExperiment(o Options) (*Outcome, error) {
 		PaperClaim: "Priority trades FIFO's uniform slowness for starvation bursts; " +
 			"Dynamic Priority's remaps smooth response times over windows of T ticks",
 		Headline: fmt.Sprintf("mean per-window Jain fairness: FIFO %.3f, Priority %.3f, Dynamic %.3f",
-			meanFair["FIFO"], meanFair["Priority"], meanFair[runs[2].name]),
+			meanFair["FIFO"], meanFair["Priority"], meanFair[schemes[2].name]),
 		Tables:     []*report.Table{tbl},
 		Series:     series,
-		ChartTitle: fmt.Sprintf("Per-window Jain fairness index vs ticks (%s)", sub.Name),
+		ChartTitle: fmt.Sprintf("Per-window Jain fairness index vs ticks (%s)", wl.Name),
 	}, nil
 }

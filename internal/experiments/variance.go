@@ -14,20 +14,17 @@ import (
 // A reproduction whose conclusions flip with the seed would be worthless;
 // this experiment shows they do not.
 func ablVariance(o Options) (*Outcome, error) {
-	wl, err := spgemmWorkload(o)
+	p, k := o.TradeoffThreads, o.TradeoffSlots
+	wl, err := spgemmWorkload(o, p)
 	if err != nil {
 		return nil, err
 	}
-	p := o.TradeoffThreads
-	sub := wl.Subset(p)
-	k := tradeoffSlots(o)
 	const replicas = 8
 
-	jobs := []sweep.Job{
-		{Name: "FIFO", Config: fifoConfig(o.Channels)(k, o.Seed), Workload: sub},
-		{Name: "Priority", Config: priorityConfig(o.Channels)(k, o.Seed), Workload: sub},
-		{Name: "Dynamic T=10k", Config: dynamicConfig(o.Channels, o.DynamicT)(k, o.Seed), Workload: sub},
-		{Name: "Random", Config: randomConfig(o.Channels)(k, o.Seed), Workload: sub},
+	schemes := []scheme{fifo, priority, dynamic(o.DynamicT).named(fmt.Sprintf("Dynamic T=%gk", o.DynamicT)), random}
+	jobs := make([]sweep.Job, len(schemes))
+	for i, sc := range schemes {
+		jobs[i] = sweep.Job{Name: sc.name, Config: sc.config(o, k, o.Seed), Workload: wl}
 	}
 	rows := o.runReplicated(jobs, replicas)
 	for _, r := range rows {
@@ -36,7 +33,7 @@ func ablVariance(o Options) (*Outcome, error) {
 		}
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Seed sensitivity over %d replicas on %s (p=%d, k=%d)", replicas, sub.Name, p, k),
+		fmt.Sprintf("Seed sensitivity over %d replicas on %s (p=%d, k=%d)", replicas, wl.Name, p, k),
 		"policy", "makespan mean", "makespan stddev", "rel. stddev", "inconsistency mean")
 	var maxRel float64
 	for _, r := range rows {
