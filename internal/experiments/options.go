@@ -49,12 +49,12 @@ type Options struct {
 	// Workers bounds sweep parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 	// Backend, when its Kind is set, becomes the far-memory model of every
-	// sweep job whose config leaves Config.Backend unset — the plumbing
-	// behind `hbmsweep -backend`. Jobs that pick a backend explicitly (the
-	// `backends` experiment) keep their choice.
+	// run whose config leaves Config.Backend unset, swept or observed — the
+	// plumbing behind `hbmsweep -backend`. Jobs that pick a backend
+	// explicitly (the `backends` experiment) keep their choice.
 	Backend membackend.Config
 
-	// Ctx, when non-nil, cancels the experiment's sweeps between jobs
+	// Ctx, when non-nil, cancels the experiment's runs between jobs
 	// (finished rows are kept, undispatched jobs error with the context's
 	// cause). Options carrying a context is unidiomatic for APIs that
 	// block per call, but experiments fan one Options out across many
