@@ -5,11 +5,13 @@ import (
 	"errors"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"hbmsim/internal/core"
 	"hbmsim/internal/membackend"
 	"hbmsim/internal/sweep"
+	"hbmsim/internal/trace"
 )
 
 // tiny returns miniature options so every experiment runs in well under a
@@ -146,25 +148,30 @@ func TestBackendOverride(t *testing.T) {
 	}
 
 	// End to end: every experiment that simulates under the default model
-	// prints other tables under the override. The rest do not simulate,
-	// or (missratio) read only the traces, or (backends) pick their own.
-	if testing.Short() {
-		t.Skip("integration sweep")
-	}
+	// prints other tables under the override than outcomes.golden holds
+	// for it at tiny(). The rest do not simulate, or (missratio) read only
+	// the traces, or (backends) pick their own. -short runs fig2a on the
+	// sweep path and timeline and optgap on the observed-run path.
+	golden := readGolden(t)
 	unaffected := map[string]bool{
 		"table2a": true, "table2b": true, "fig6": true, "knl-properties": true,
 		"directmap": true, "missratio": true, "backends": true,
 	}
-	for _, id := range IDs() {
-		base, err := Run(id, tiny())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+	ids := []string{"fig2a", "timeline", "optgap"}
+	if !testing.Short() {
+		ids = IDs()
+	}
+	for _, id := range ids {
+		want, ok := golden[id]
+		if !ok {
+			t.Fatalf("%s: no section in %s", id, goldenPath)
 		}
 		over, err := Run(id, o)
 		if err != nil {
 			t.Fatalf("%s under the bandwidth backend: %v", id, err)
 		}
-		if differ := tablesCSV(t, base) != tablesCSV(t, over); differ == unaffected[id] {
+		got := strings.TrimSuffix(tablesCSV(t, over), "\n")
+		if differ := got != goldenTables(want); differ == unaffected[id] {
 			t.Errorf("%s: tables differ under the bandwidth backend = %v, want %v", id, differ, !unaffected[id])
 		}
 	}
@@ -215,12 +222,22 @@ func TestDefaultAndFullOptionsValid(t *testing.T) {
 }
 
 // TestEveryExperimentRunsEndToEnd exercises the whole registry at tiny
-// scale and checks the Outcome contract.
+// scale, checks the Outcome contract and holds each outcome's headline
+// and tables to its section of outcomes.golden.
 func TestEveryExperimentRunsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep")
 	}
 	o := tiny()
+	golden := readGolden(t)
+	if !*update && len(golden) != len(IDs()) {
+		t.Errorf("%s holds %d experiments, registry has %d", goldenPath, len(golden), len(IDs()))
+	}
+	var mu sync.Mutex
+	got := map[string]string{}
+	if *update {
+		t.Cleanup(func() { writeGolden(t, got) })
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -246,7 +263,43 @@ func TestEveryExperimentRunsEndToEnd(t *testing.T) {
 			if len(out.Series) > 0 && out.ChartTitle == "" {
 				t.Errorf("series without a chart title")
 			}
+			section := goldenSection(t, out)
+			if *update {
+				mu.Lock()
+				got[id] = section
+				mu.Unlock()
+			} else if want := golden[id]; strings.TrimSuffix(section, "\n") != want {
+				t.Errorf("%s drifted from %s:\ngot:\n%s\nwant:\n%s", id, goldenPath, section, want)
+			}
 		})
+	}
+}
+
+// TestWorkloadsBuildPrefixes: core i's trace depends only on the seed and
+// on i, so building p cores gives the first p cores of a larger build.
+// The tradeoff-point experiments build only the cores they simulate on
+// the strength of it, and the Figure 2/4 study takes prefixes of its
+// largest build.
+func TestWorkloadsBuildPrefixes(t *testing.T) {
+	o := tiny()
+	builders := map[string]func(Options, int) (*trace.Workload, error){
+		"sort": sortWorkload, "spgemm": spgemmWorkload,
+	}
+	for name, build := range builders {
+		all, err := build(o, o.TradeoffThreads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 3} {
+			got, err := build(o, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := all.Subset(p)
+			if got.Name != want.Name || !slices.EqualFunc(got.Traces, want.Traces, slices.Equal) {
+				t.Errorf("%s on %d cores is not the first %d of %d cores", name, p, p, o.TradeoffThreads)
+			}
+		}
 	}
 }
 

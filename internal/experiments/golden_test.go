@@ -1,16 +1,22 @@
 package experiments
 
 import (
+	"errors"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/outcomes.golden")
 
+// goldenPath pins the headline and every table of every registered
+// experiment at tiny() options, so a refactor of the suite shows any
+// table it changes. TestEveryExperimentRunsEndToEnd holds each outcome
+// to its section; regenerate with -update only when a change to the
+// printed results is intended.
 const goldenPath = "testdata/outcomes.golden"
 
 // goldenSection renders one Outcome's headline and tables in the form
@@ -33,63 +39,52 @@ func tablesCSV(t *testing.T, out *Outcome) string {
 	return b.String()
 }
 
-// splitGolden cuts outcomes.golden into its per-experiment sections,
-// each without its trailing newline.
-func splitGolden(data string) map[string]string {
+// readGolden returns outcomes.golden's per-experiment sections, each
+// without its trailing newline. Under -update a missing file reads as
+// empty.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if *update && errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
 	sections := map[string]string{}
-	for _, s := range strings.Split("\n"+data, "\n=== ")[1:] {
+	for _, s := range strings.Split("\n"+string(data), "\n=== ")[1:] {
 		id, _, _ := strings.Cut(s, "\n")
 		sections[id] = "=== " + strings.TrimSuffix(s, "\n")
 	}
 	return sections
 }
 
-// TestOutcomesMatchGolden pins the headline and every table of every
-// registered experiment at tiny() options, so a refactor of the suite
-// shows any table it changes. Regenerate with -update only when a change
-// to the printed results is intended.
-func TestOutcomesMatchGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration sweep")
+// goldenTables returns the tables of a golden section: all but its id
+// and headline lines.
+func goldenTables(section string) string {
+	parts := strings.SplitN(section, "\n", 3)
+	if len(parts) < 3 {
+		return ""
 	}
+	return parts[2]
+}
+
+// writeGolden rewrites outcomes.golden from one section per registered
+// experiment, in registry order.
+func writeGolden(t *testing.T, sections map[string]string) {
+	t.Helper()
 	ids := IDs()
-	got := make([]string, len(ids))
-	var wg sync.WaitGroup
-	errs := make([]error, len(ids))
-	outs := make([]*Outcome, len(ids))
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			outs[i], errs[i] = Run(id, tiny())
-		}(i, id)
+	if len(sections) != len(ids) {
+		t.Fatalf("-update needs every experiment: %d of %d ran", len(sections), len(ids))
 	}
-	wg.Wait()
-	for i, id := range ids {
-		if errs[i] != nil {
-			t.Fatalf("%s: %v", id, errs[i])
-		}
-		got[i] = goldenSection(t, outs[i])
+	var b strings.Builder
+	for _, id := range ids {
+		b.WriteString(sections[id])
 	}
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "")), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	want := splitGolden(string(data))
-	if len(want) != len(ids) {
-		t.Errorf("golden file holds %d experiments, registry has %d", len(want), len(ids))
-	}
-	for i, id := range ids {
-		if w := want[id]; w != strings.TrimSuffix(got[i], "\n") {
-			t.Errorf("%s drifted from %s:\ngot:\n%s\nwant:\n%s", id, goldenPath, got[i], w)
-		}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
