@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -216,5 +219,74 @@ func TestBackendConfigHashCompat(t *testing.T) {
 	bw3.Backend.PageBytes = 64 // the documented default, spelled out
 	if ConfigHash(bw3) != ConfigHash(bw) {
 		t.Error("defaulted and explicit backend parameters hash differently")
+	}
+}
+
+// TestBackendSnapshotBytesPinned pins every backend's snapshot layout
+// and results against recorded digests, so a change to a backend's
+// encoding that is consistent with itself — which
+// TestBackendCheckpointRoundTrip accepts — still fails here. Each run
+// (p=6, k=60, q=2, a contended workload; fetch latency 3 so reference
+// transfers sit in flight) checkpoints every 97 ticks;
+// its digest is the SHA-256 over the SHA-256 of every snapshot in tick
+// order, then of the final Result's JSON.
+func TestBackendSnapshotBytesPinned(t *testing.T) {
+	const every = 97
+	ts := benchWorkload(6, 20, 800)
+	backends := []struct {
+		name string
+		cfg  membackend.Config
+	}{
+		{"reference", membackend.Config{}},
+		{"bandwidth", membackend.Config{Kind: membackend.Bandwidth}},
+		{"bandwidth-slow", membackend.Config{Kind: membackend.Bandwidth, BytesPerTick: 8, LatencyTicks: 9}},
+		{"hybrid", membackend.Config{Kind: membackend.Hybrid}},
+		{"hybrid-fast8", membackend.Config{Kind: membackend.Hybrid, FastSlots: 8}},
+	}
+	// Recorded before the backends shared one in-flight queue.
+	want := map[string]string{
+		"reference/fifo":          "046585538cf1f5d62e1ab60be4f5dfc23fc443e067bc2c1d4a944d6964d00b9e",
+		"reference/priority":      "2b5f21a5249dc32c5232ac3bf0e959c2a61ecb11aa6a7c4fa504078124969e13",
+		"bandwidth/fifo":          "9e4cd3fb0353ec3515f8dfb03379b5fe9fe009ccdb3fd4523d74bd61ff7db81c",
+		"bandwidth/priority":      "008557ad902d616c5c33b0985c6be107b0cb6bcde8099c909a05e97ac1b60880",
+		"bandwidth-slow/fifo":     "b43d706ead48316a386026aacefa680dfcbd96809354f2423cfc70fd51d4699b",
+		"bandwidth-slow/priority": "72a5019ef03b33e2ab33717c32828a1276c09775b4737a50c2a439905ad1ad6e",
+		"hybrid/fifo":             "42de7c45579767466f003ea4766f41d943fdc2691c6836aacf7f59e56af8fd71",
+		"hybrid/priority":         "0622cf938313171ca25ffd4792a9277c7caf62601564272f3a82e01155cb5305",
+		"hybrid-fast8/fifo":       "de44b8e7ddb58b72cd007b03a29dde7128af4b3ce98a6b30b67620e6e62451f0",
+		"hybrid-fast8/priority":   "0d8c957fc0cd2ccad3afe232192a0d06ce71a67c7123df337f08755fef957ddf",
+	}
+	for _, be := range backends {
+		for _, arb := range []arbiter.Kind{arbiter.FIFO, arbiter.Priority} {
+			name := be.name + "/" + string(arb)
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{HBMSlots: 60, Channels: 2, FetchLatency: 3, Arbiter: arb, Seed: 5, Backend: be.cfg}
+				if arb == arbiter.Priority {
+					cfg.Permuter, cfg.RemapPeriod = arbiter.Dynamic, 50
+				}
+				s, err := New(cfg, ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetBoundary(every)
+				ticks, snaps := snapshotAtBoundaries(t, s, every)
+				if len(snaps) < 10 {
+					t.Fatalf("only %d snapshots; the run is too short to pin in-flight state", len(snaps))
+				}
+				res, err := json.Marshal(s.Result())
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				for _, b := range append(snaps, res) {
+					sum := sha256.Sum256(b)
+					h.Write(sum[:])
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+					t.Errorf("digest over %d snapshots (last at tick %d) and the Result = %s, want %s",
+						len(snaps), ticks[len(ticks)-1], got, want[name])
+				}
+			})
+		}
 	}
 }
