@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR27.json
+BENCH_OUT ?= BENCH_PR28.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
@@ -25,7 +25,7 @@ BENCH_OUT ?= BENCH_PR27.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR26.json
+BENCH_BASE ?= BENCH_PR27.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -43,10 +43,11 @@ SMOKE_FUZZTIME ?= 5s
 # the durable-file package every crash-safe write goes through, plus the
 # HBM store, replacement policies and arbiters whose contracts the
 # kernel's differential tests rest on, plus the experiment suite that
-# regenerates the paper's tables.
+# regenerates the paper's tables, plus the job service and the sweep
+# runner whose journals carry crash recovery.
 COVER_OUT ?= coverage.out
 COVER_FLOOR ?= 70
-COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend hbmsim/internal/durable hbmsim/internal/hbm hbmsim/internal/replacement hbmsim/internal/arbiter hbmsim/internal/experiments
+COVER_FLOOR_PKGS ?= hbmsim/internal/core hbmsim/internal/lowerbound hbmsim/internal/stackdist hbmsim/internal/telemetry hbmsim/internal/metrics hbmsim/internal/introspect hbmsim/internal/tracing hbmsim/internal/resultcache hbmsim/internal/shard hbmsim/internal/membackend hbmsim/internal/durable hbmsim/internal/hbm hbmsim/internal/replacement hbmsim/internal/arbiter hbmsim/internal/experiments hbmsim/internal/serve hbmsim/internal/sweep
 
 .PHONY: all check build vet test test-short test-race e2e-multinode bench bench-json bench-diff cover profile fuzz fuzz-smoke docsmoke repro repro-full figures clean
 
@@ -143,7 +144,8 @@ profile:
 
 # Short fuzzing pass over the trace codecs, page renumbering, the
 # construction scan, the checkpoint format, log recovery,
-# result-cache entries and the miss-ratio curve.
+# result-cache entries, the miss-ratio curve and the backend parameter
+# parser.
 fuzz:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=30s ./internal/trace/
@@ -155,6 +157,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLogRecover -fuzztime=30s ./internal/durable/
 	$(GO) test -fuzz=FuzzReadEntry -fuzztime=30s ./internal/resultcache/
 	$(GO) test -fuzz=FuzzCurve -fuzztime=30s ./internal/stackdist/
+	$(GO) test -fuzz=FuzzParseBackend -fuzztime=30s ./internal/membackend/
 
 # Quick fuzzing smoke for `make check`: a few seconds per fuzzer, enough
 # to catch gross codec or snapshot-validation breakage.
@@ -169,6 +172,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLogRecover -fuzztime=$(SMOKE_FUZZTIME) ./internal/durable/
 	$(GO) test -fuzz=FuzzReadEntry -fuzztime=$(SMOKE_FUZZTIME) ./internal/resultcache/
 	$(GO) test -fuzz=FuzzCurve -fuzztime=$(SMOKE_FUZZTIME) ./internal/stackdist/
+	$(GO) test -fuzz=FuzzParseBackend -fuzztime=$(SMOKE_FUZZTIME) ./internal/membackend/
 
 # Doc-drift gate: every fenced sh/go block in the listed docs must match
 # the tree — Go examples compile, documented flags exist, make targets

@@ -56,7 +56,7 @@ func run() int {
 		workers    = flag.Int("workers", 2, "jobs run concurrently")
 		queueCap   = flag.Int("queue", 64, "admission queue bound; submissions beyond it get 429 + Retry-After")
 		jobWorkers = flag.Int("job-workers", 0, "per-job sweep parallelism (0 = GOMAXPROCS)")
-		ckptEvery  = flag.Uint64("checkpoint-every", 4<<20, "sim-job snapshot cadence in ticks (0 disables periodic checkpoints)")
+		ckptEvery  = flag.Uint64("checkpoint-every", 4<<20, "sim-job snapshot cadence in ticks (0 selects the default, 4194304)")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before in-flight jobs are interrupted (they resume on restart)")
 		logLevel   = flag.String("log-level", "info", "structured-log level: debug|info|warn|error")
 		optGap     = flag.Bool("optgap", false, "track live optimality telemetry for sim jobs: competitive_ratio gauge on /metrics plus a per-job optgap snapshot in GET /jobs/{id} and the SSE stream")

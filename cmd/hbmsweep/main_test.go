@@ -126,6 +126,26 @@ func TestExperimentsDocMatchesRegistry(t *testing.T) {
 	}
 }
 
+// TestDesignIndexNamesEveryExperiment holds DESIGN.md §5, the
+// experiment index, to the registry: every experiment appears there as
+// `hbmsweep -exp <id>`.
+func TestDesignIndexNamesEveryExperiment(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(doc), "\n## 5. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 5")
+	}
+	index, _, _ = strings.Cut(index, "\n## 6. ")
+	for _, id := range experiments.IDs() {
+		if !strings.Contains(index, "`hbmsweep -exp "+id+"`") {
+			t.Errorf("DESIGN.md §5 does not name `hbmsweep -exp %s`", id)
+		}
+	}
+}
+
 // TestExperimentsDocTablesMatchCode holds EXPERIMENTS.md's recorded
 // results to the code for the experiments that run in milliseconds: each
 // one, run with the default options at seed 1 and printed by

@@ -301,17 +301,10 @@ func tickCap(cfg Config, traces [][]model.PageID) model.Tick {
 	// (every tick either serves or fetches when work remains); the slack
 	// absorbs small-k edge behaviour while still halting eviction
 	// livelocks (possible when k is within q of the working set, see
-	// DESIGN.md §4). Every miss beyond that costs its transfer time past
-	// one tick: FetchLatency-1 under the reference model, the worst-case
-	// transfer time of a slow backend.
-	perMiss := cfg.FetchLatency - 1
-	if b := cfg.Backend.WithDefaults(); b.Kind != membackend.Reference {
-		perMiss = (b.PageBytes+b.BytesPerTick-1)/b.BytesPerTick + b.LatencyTicks
-		if h := b.SlowReadTicks + b.SlowWriteTicks; b.Kind == membackend.Hybrid && h > perMiss {
-			perMiss = h
-		}
-	}
-	return 8*refs + 1024*model.Tick(len(traces)+cfg.HBMSlots+cfg.Channels) + model.Tick(perMiss)*refs
+	// DESIGN.md §4). Every miss beyond that costs up to its backend's
+	// transfer time past one tick (membackend.MissSlack).
+	perMiss := model.Tick(membackend.MissSlack(cfg.Backend, cfg.FetchLatency))
+	return 8*refs + 1024*model.Tick(len(traces)+cfg.HBMSlots+cfg.Channels) + perMiss*refs
 }
 
 // Tick returns the current simulation tick. A Step that jumps a stretch
@@ -507,7 +500,7 @@ func (s *Sim) evicted(pg model.PageID, t, next model.Tick) {
 		s.obs.OnEvict(s.orig(pg), t)
 	}
 	if s.wbSink != nil {
-		s.wbSink.Writeback(t, pg, 0)
+		s.wbSink.Writeback(t, pg)
 	}
 }
 
@@ -636,8 +629,7 @@ func (s *Sim) quietLimit(lim model.Tick) model.Tick {
 	if d := s.capT - t0; d < lim {
 		lim = d
 	}
-	if s.backend.InFlight() > 0 {
-		ne := s.backend.NextEventTick(t0)
+	if ne := s.backend.NextEventTick(); ne != 0 {
 		if ne <= t0+1 {
 			return 0
 		}

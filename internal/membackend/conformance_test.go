@@ -17,7 +17,8 @@ import (
 //     returns after the grant phase admits min(GrantLimit, queueLen).
 //   - Conservation: every Start is eventually drained exactly once
 //     (started == drained after the script's cooldown drains the
-//     backend to empty), and InFlight never exceeds MaxInFlight.
+//     backend to empty), and the in-flight count — started minus
+//     drained — never exceeds MaxInFlight.
 //   - Completion-ordering determinism: two fresh instances replaying
 //     the same script produce identical drain streams.
 //   - NextEventTick: zero exactly when idle, always in the future, and
@@ -32,8 +33,8 @@ func RunBackendConformance(t *testing.T, newBackend func() Backend) {
 	t.Helper()
 	script := genScript(implementsWriteback(newBackend()))
 
-	first := runScript(t, newBackend(), script, 0, nil)
-	second := runScript(t, newBackend(), script, 0, nil)
+	first := runScript(t, newBackend(), script, 0, 0, nil)
+	second := runScript(t, newBackend(), script, 0, 0, nil)
 	if first.drainLog != second.drainLog {
 		t.Errorf("conformance: two replays of the same script diverged:\n%s\nvs\n%s", first.drainLog, second.drainLog)
 	}
@@ -45,7 +46,7 @@ func RunBackendConformance(t *testing.T, newBackend func() Backend) {
 	// instance, and require (a) bit-identical re-save and (b) an
 	// identical replay of the remaining script.
 	restored := newBackend()
-	full := runScript(t, newBackend(), script, 0, func(tick model.Tick, b Backend) {
+	full := runScript(t, newBackend(), script, 0, 0, func(tick model.Tick, b Backend) {
 		if tick != snapshotTick {
 			return
 		}
@@ -71,11 +72,11 @@ func RunBackendConformance(t *testing.T, newBackend func() Backend) {
 		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 			t.Errorf("conformance: save → load → save is not bit-identical (%d vs %d bytes)", buf.Len(), buf2.Len())
 		}
-		if got, want := restored.InFlight(), b.InFlight(); got != want {
-			t.Errorf("conformance: restored InFlight %d, original %d", got, want)
+		if got, want := restored.NextEventTick(), b.NextEventTick(); got != want {
+			t.Errorf("conformance: restored NextEventTick %d, original %d", got, want)
 		}
 	})
-	tail := runScript(t, restored, script, snapshotTick, nil)
+	tail := runScript(t, restored, script, snapshotTick, full.snapInFlight, nil)
 	if full.tailLog != tail.drainLog {
 		t.Errorf("conformance: restored instance diverged after tick %d:\n%s\nvs\n%s", snapshotTick, tail.drainLog, full.tailLog)
 	}
@@ -121,9 +122,8 @@ func genScript(withWB bool) []tickScript {
 			n := next(6)
 			for i := 0; i < n; i++ {
 				ts.queue = append(ts.queue, Transfer{
-					Core:  model.CoreID(next(scriptCores)),
-					Page:  model.PageID(next(scriptPages)),
-					Bytes: 16 * (1 + next(12)),
+					Core: model.CoreID(next(scriptCores)),
+					Page: model.PageID(next(scriptPages)),
 				})
 			}
 			if withWB && next(4) == 0 {
@@ -136,18 +136,21 @@ func genScript(withWB bool) []tickScript {
 }
 
 type scriptResult struct {
-	started  int
-	drained  int
-	drainLog string
+	started int
+	drained int
+	// snapInFlight is the in-flight count at the end of snapshotTick.
+	snapInFlight int
+	drainLog     string
 	// tailLog is the drain log restricted to ticks after snapshotTick.
 	tailLog string
 }
 
 // runScript drives a backend through the script from startAfter+1 (a
 // restored backend replays only the post-snapshot suffix — its state
-// already holds the prefix's history). hook, when set, runs at the end
-// of each tick, after that tick's calls — where the kernel checkpoints.
-func runScript(t *testing.T, b Backend, script []tickScript, startAfter model.Tick, hook func(model.Tick, Backend)) scriptResult {
+// already holds the prefix's history, including inFlight started but
+// not yet drained transfers). hook, when set, runs at the end of each
+// tick, after that tick's calls — where the kernel checkpoints.
+func runScript(t *testing.T, b Backend, script []tickScript, startAfter model.Tick, inFlight int, hook func(model.Tick, Backend)) scriptResult {
 	t.Helper()
 	var res scriptResult
 	var log, tailLog bytes.Buffer
@@ -169,25 +172,29 @@ func runScript(t *testing.T, b Backend, script []tickScript, startAfter model.Ti
 			res.started++
 		}
 		if ts.hasWB {
-			b.(WritebackSink).Writeback(tick, ts.wb, 64)
+			b.(WritebackSink).Writeback(tick, ts.wb)
 		}
 		drained := b.Drain(tick, nil)
 		if len(drained) != due {
 			t.Fatalf("conformance: tick %d: DueAt promised %d completions, Drain returned %d", tick, due, len(drained))
 		}
 		res.drained += len(drained)
+		inFlight += grants - len(drained)
 		for _, d := range drained {
-			fmt.Fprintf(&log, "t=%d c=%d p=%d b=%d\n", tick, d.Core, d.Page, d.Bytes)
+			fmt.Fprintf(&log, "t=%d c=%d p=%d\n", tick, d.Core, d.Page)
 			if tick > snapshotTick {
-				fmt.Fprintf(&tailLog, "t=%d c=%d p=%d b=%d\n", tick, d.Core, d.Page, d.Bytes)
+				fmt.Fprintf(&tailLog, "t=%d c=%d p=%d\n", tick, d.Core, d.Page)
 			}
 		}
-		if got := b.InFlight(); got > b.MaxInFlight() {
-			t.Fatalf("conformance: tick %d: InFlight %d exceeds MaxInFlight %d", tick, got, b.MaxInFlight())
+		if inFlight > b.MaxInFlight() {
+			t.Fatalf("conformance: tick %d: %d in flight exceeds MaxInFlight %d", tick, inFlight, b.MaxInFlight())
 		}
-		ne := b.NextEventTick(tick)
-		if (ne == 0) != (b.InFlight() == 0) {
-			t.Fatalf("conformance: tick %d: NextEventTick %d with %d in flight", tick, ne, b.InFlight())
+		if tick == snapshotTick {
+			res.snapInFlight = inFlight
+		}
+		ne := b.NextEventTick()
+		if (ne == 0) != (inFlight == 0) {
+			t.Fatalf("conformance: tick %d: NextEventTick %d with %d in flight", tick, ne, inFlight)
 		}
 		if ne != 0 && ne <= tick {
 			t.Fatalf("conformance: tick %d: NextEventTick %d not in the future", tick, ne)
@@ -200,8 +207,8 @@ func runScript(t *testing.T, b Backend, script []tickScript, startAfter model.Ti
 			hook(tick, b)
 		}
 	}
-	if b.InFlight() != 0 {
-		t.Fatalf("conformance: %d transfers still in flight after cooldown", b.InFlight())
+	if inFlight != 0 {
+		t.Fatalf("conformance: %d transfers still in flight after cooldown", inFlight)
 	}
 	res.drainLog = log.String()
 	res.tailLog = tailLog.String()

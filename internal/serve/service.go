@@ -62,8 +62,9 @@ type Options struct {
 	// GOMAXPROCS). A job's Spec.Workers overrides it.
 	JobWorkers int
 	// CheckpointEvery is the default snapshot cadence for sim jobs in
-	// ticks (default 4194304, ~0.2s of simulated work); a job's
-	// Spec.CheckpointEveryTicks overrides it.
+	// ticks; 0 selects 4194304 (~0.2s of simulated work), so periodic
+	// checkpoints are always on. A job's Spec.CheckpointEveryTicks
+	// overrides it.
 	CheckpointEvery uint64
 	// Metrics, when non-nil, receives the serve_* instruments (queue
 	// depth, running jobs, admission/outcome counters, job wall time)

@@ -65,7 +65,9 @@ func (s *Service) runShardedSweep(ctx context.Context, j *job, jobs []sweep.Job)
 			errs[row.Index] = row.Err
 		}
 		mu.Unlock()
-		if row.Err == "" && row.Result != nil {
+		// The local fallback journals its rows as they finish, so only a
+		// row the journal does not hold yet is recorded here.
+		if _, held := jnl.Lookup(jobs[row.Index]); !held && row.Err == "" && row.Result != nil {
 			if rerr := jnl.Record(jobs[row.Index], row.Result); rerr != nil {
 				// The row is lost to this journal but still counted in
 				// memory; a restart re-runs only this point.
@@ -93,9 +95,12 @@ func (s *Service) runShardedSweep(ctx context.Context, j *job, jobs []sweep.Job)
 			if workers <= 0 {
 				workers = s.opts.JobWorkers
 			}
+			// Journal each row as it finishes, as a single-node sweep
+			// does, so an interrupt keeps the rows already done.
 			rows := sweep.RunContext(ctx, sub, sweep.Options{
 				Workers: workers,
 				Metrics: s.opts.Metrics,
+				Journal: jnl,
 			})
 			if cause := context.Cause(ctx); cause != nil {
 				return cause

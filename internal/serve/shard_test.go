@@ -196,3 +196,65 @@ func TestShardedSweepDeadPeerStillFinishes(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedSweepFallbackJournalsRows: with every peer unreachable the
+// coordinator runs the sweep itself and journals each row as it
+// finishes, like a single-node sweep. Interrupted by Close once the
+// first row is journaled, the reopened service runs only the rows the
+// journal does not hold.
+func TestShardedSweepFallbackJournalsRows(t *testing.T) {
+	spec := testSweepSpec(8)
+	spec.Workers = 1
+	deadPeers := func(reg *metrics.Registry) func(*Options) {
+		return func(o *Options) {
+			o.Peers = []string{"http://127.0.0.1:1"} // port 1: refused
+			o.Workers, o.JobWorkers = 1, 1
+			o.Metrics = reg
+		}
+	}
+	dir := t.TempDir()
+	jnlPath := filepath.Join(dir, "job-1.jnl")
+	journaled := func() int {
+		raw, err := os.ReadFile(jnlPath)
+		if err != nil {
+			return 0
+		}
+		return bytes.Count(raw, []byte("\n"))
+	}
+
+	reg1 := metrics.NewRegistry()
+	s1 := openTestService(t, dir, deadPeers(reg1))
+	v, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for journaled() == 0 {
+		if vv, _ := s1.Get(v.ID); vv.State.Terminal() {
+			t.Fatalf("job ended (%s) before a fallback row reached the journal", vv.State)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no fallback row reached the journal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ran := serveCounter(reg1, "sweep_jobs_finished_total")
+	s1.Close()
+	if int(ran) >= len(spec.Points) {
+		t.Fatalf("all %d rows had run before the first reached the journal", len(spec.Points))
+	}
+	kept := journaled()
+
+	reg2 := metrics.NewRegistry()
+	s2 := openTestService(t, dir, deadPeers(reg2))
+	defer s2.Close()
+	got := waitState(t, s2, v.ID, StateDone)
+	if rerun, want := serveCounter(reg2, "sweep_jobs_started_total"), len(spec.Points)-kept; int(rerun) != want {
+		t.Errorf("reopened service ran %g rows, want the %d the journal did not hold", rerun, want)
+	}
+	for i, r := range got.Result.Rows {
+		if r.Error != "" || r.Result == nil {
+			t.Fatalf("row %d failed: %+v", i, r)
+		}
+	}
+}
