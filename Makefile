@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR28.json
+BENCH_OUT ?= BENCH_PR30.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
@@ -25,7 +25,7 @@ BENCH_OUT ?= BENCH_PR28.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR27.json
+BENCH_BASE ?= BENCH_PR28.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -144,8 +144,8 @@ profile:
 
 # Short fuzzing pass over the trace codecs, page renumbering, the
 # construction scan, the checkpoint format, log recovery,
-# result-cache entries, the miss-ratio curve and the backend parameter
-# parser.
+# result-cache entries, the miss-ratio curve, the backend parameter
+# parser and the traceparent header parser.
 fuzz:
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadText -fuzztime=30s ./internal/trace/
@@ -158,6 +158,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadEntry -fuzztime=30s ./internal/resultcache/
 	$(GO) test -fuzz=FuzzCurve -fuzztime=30s ./internal/stackdist/
 	$(GO) test -fuzz=FuzzParseBackend -fuzztime=30s ./internal/membackend/
+	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/tracing/
 
 # Quick fuzzing smoke for `make check`: a few seconds per fuzzer, enough
 # to catch gross codec or snapshot-validation breakage.
@@ -173,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadEntry -fuzztime=$(SMOKE_FUZZTIME) ./internal/resultcache/
 	$(GO) test -fuzz=FuzzCurve -fuzztime=$(SMOKE_FUZZTIME) ./internal/stackdist/
 	$(GO) test -fuzz=FuzzParseBackend -fuzztime=$(SMOKE_FUZZTIME) ./internal/membackend/
+	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=$(SMOKE_FUZZTIME) ./internal/tracing/
 
 # Doc-drift gate: every fenced sh/go block in the listed docs must match
 # the tree — Go examples compile, documented flags exist, make targets

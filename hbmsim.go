@@ -54,7 +54,10 @@ import (
 
 // Core model types.
 type (
-	// PageID identifies one block of memory.
+	// PageID identifies one block of memory. It is 32 bits wide:
+	// simulated workloads are numbered densely from 0, so a trace stores
+	// a reference in 4 bytes, and trace files, address spaces and page
+	// counts that need a wider ID are refused.
 	PageID = model.PageID
 	// CoreID indexes a core (thread).
 	CoreID = model.CoreID
@@ -200,10 +203,10 @@ func Run(cfg Config, wl *Workload) (*Result, error) {
 	return core.Run(cfg, wl.Raw())
 }
 
-// RunTraces is Run for raw per-core traces. The traces must be
-// disjoint: traces in which two cores reference one page are refused
-// with an error naming the page and both cores, as Workload.Validate
-// words it.
+// RunTraces is Run for raw per-core traces of 32-bit page IDs, which
+// may be sparse anywhere in that range. The traces must be disjoint:
+// traces in which two cores reference one page are refused with an error
+// naming the page and both cores, as Workload.Validate words it.
 func RunTraces(cfg Config, traces [][]PageID) (*Result, error) {
 	return core.Run(cfg, traces)
 }
@@ -329,7 +332,9 @@ func MixedWorkload(specs []MixedSpec, seed int64) (*Workload, error) {
 }
 
 // NewWorkload renumbers per-core traces into disjoint page ranges
-// (Property 1 of the model) and wraps them as a Workload.
+// (Property 1 of the model) and wraps them as a Workload. The ranges
+// are laid end to end in 32-bit page IDs, so it panics if the cores'
+// distinct pages together pass 2^32 (more than 16 GiB of traces).
 func NewWorkload(name string, traces []Trace) *Workload {
 	return trace.NewWorkload(name, traces)
 }

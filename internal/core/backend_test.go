@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hbmsim/internal/arbiter"
 	"hbmsim/internal/membackend"
+	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
 )
 
@@ -287,6 +289,36 @@ func TestBackendSnapshotBytesPinned(t *testing.T) {
 						len(snaps), ticks[len(ticks)-1], got, want[name])
 				}
 			})
+		}
+	}
+}
+
+// TestBackendQueuesSizedByCores pins that construction sizes the
+// backend's in-flight queue and the kernel's landing buffer by the core
+// count rather than by the backend's MaxInFlight: a core has at most one
+// fetch outstanding. One 3-reference core with q=64 and each backend at
+// its 65536-tick parameter bound (MaxInFlight of 64x65536 transfers or
+// more) must run in under 1 MB of allocation.
+func TestBackendQueuesSizedByCores(t *testing.T) {
+	ts := [][]model.PageID{{0, 1, 2}}
+	for name, cfg := range map[string]Config{
+		"reference": {FetchLatency: 65536},
+		"bandwidth": {Backend: membackend.Config{Kind: membackend.Bandwidth, LatencyTicks: 65536}},
+		"hybrid":    {Backend: membackend.Config{Kind: membackend.Hybrid, SlowReadTicks: 65536}},
+	} {
+		cfg.HBMSlots, cfg.Channels = 64, 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg, ts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.TotalRefs != 3 || res.Truncated {
+			t.Fatalf("%s: incomplete run: %+v", name, res)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: Run allocated %d bytes, want under 1 MiB", name, got)
 		}
 	}
 }

@@ -17,7 +17,7 @@ type pageRange struct {
 // compactTraces renumbers the workload's pages into the dense space
 // [0, U) in first-appearance order (cores scanned in index order, each
 // trace front to back), so stores and replacement policies can index
-// flat slices by page instead of hashing sparse 64-bit PageIDs on every
+// flat slices by page instead of hashing sparse PageIDs on every
 // Contains/Touch/Insert. The model's reference sequences are mutually
 // disjoint (Property 1), so the renaming is a bijection on the
 // referenced pages and every core owns one range of dense IDs, the

@@ -95,7 +95,7 @@ func TestCompactTracesProperties(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		base := model.PageID(1) // LUT path: small IDs
 		if iter%3 == 1 {
-			base = 1 << 40 // map fallback: IDs far beyond the LUT cap
+			base = 1 << 31 // map fallback: IDs far beyond the LUT cap
 		}
 		traces := sparseWorkload(rng, base)
 		if iter%3 == 2 {
@@ -104,7 +104,7 @@ func TestCompactTracesProperties(t *testing.T) {
 			for i := range traces {
 				if i%2 == 1 {
 					for j := range traces[i] {
-						traces[i][j] += 1 << 40
+						traces[i][j] += 1 << 31
 					}
 				}
 			}
@@ -217,7 +217,7 @@ func TestCompactedEventStreamEquivalence(t *testing.T) {
 					for round := 0; round < 4; round++ {
 						base := model.PageID(1 + rng.Intn(500))
 						if round%2 == 1 {
-							base = 1 << 40 // force the map fallback in compactTraces
+							base = 1 << 31 // force the map fallback in compactTraces
 						}
 						traces := sparseWorkload(rng, base)
 						q := 1 + rng.Intn(3)
@@ -299,7 +299,7 @@ func TestSharedPagesRefused(t *testing.T) {
 		{"dense overlap", overlapWorkload()},
 		{"dense, first reference shared", [][]model.PageID{{0, 1, 2}, {2, 3, 4}}},
 		{"dense, core 1 inside core 0", [][]model.PageID{{0, 1, 2, 3}, {1, 2}}},
-		{"sparse", [][]model.PageID{{1 << 40, 7, 1 << 40}, {}, {9, 11, 7, 11}}},
+		{"sparse", [][]model.PageID{{1 << 31, 7, 1 << 31}, {}, {9, 11, 7, 11}}},
 		{"sparse, first reference shared", [][]model.PageID{{50, 40}, {40, 30}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -336,7 +336,8 @@ func TestSharedPagesRefused(t *testing.T) {
 //	0: dense, from where the cores before it end;
 //	1: from there plus (layout>>2)-32 (at least 0): inside an earlier
 //	   core's range, or past a gap;
-//	2: sparse: the core's page r is 1<<40 + 37r + 100000*core;
+//	2: sparse: the core's page r is 2^32 - 2^20 + 37r + 100000*core,
+//	   just below 2^32, so scanRange's unsigned p - lo wraps at 32 bits;
 //	3: dense, except that each reference byte with bit 0x40 set names
 //	   one of core 0's pages instead (shared, when core 0 has any).
 func compactFuzzTraces(data []byte) ([][]model.PageID, Mapping) {
@@ -363,7 +364,7 @@ func compactFuzzTraces(data []byte) ([][]model.PageID, Mapping) {
 		}
 		place := func(r model.PageID) model.PageID { return start + r }
 		if layout%4 == 2 {
-			place = func(r model.PageID) model.PageID { return 1<<40 + 37*r + model.PageID(100000*i) }
+			place = func(r model.PageID) model.PageID { return 1<<32 - 1<<20 + 37*r + model.PageID(100000*i) }
 		}
 		tr := make([]model.PageID, 0, n)
 		pages := model.PageID(0)

@@ -158,7 +158,7 @@ type Sim struct {
 //
 // New first compacts the workload's page IDs into the dense space
 // [0, U) (see compactTraces), so the store and replacement policy index
-// flat slices instead of hashing sparse 64-bit IDs on every tick. On a
+// flat slices instead of hashing sparse IDs on every tick. On a
 // workload already numbered that way, as trace.NewWorkload and the
 // generators number it, that is one pass over the references, split
 // across cores, which also proves the traces disjoint.
@@ -208,15 +208,16 @@ func New(cfg Config, traces [][]model.PageID) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend, err := membackend.New(cfg.Backend, cfg.Channels, cfg.FetchLatency)
+	backend, err := membackend.New(cfg.Backend, cfg.Channels, cfg.FetchLatency, len(traces))
 	if err != nil {
 		return nil, err
 	}
 
 	// Every per-tick slice is preallocated to its bound here — at most
-	// one entry per core in the active/candidate sets and at most
-	// Channels*FetchLatency grants in flight — so the steady-state tick
-	// loop performs no allocations.
+	// one entry per core in the active/candidate sets, and at most one
+	// transfer per core in flight or landing (a core has one fetch
+	// outstanding at a time) — so the steady-state tick loop performs no
+	// allocations.
 	p, u := len(traces), universe
 	// Same-typed per-core arrays share one backing allocation each (the
 	// three-index caps keep a future append from clobbering the sibling);
@@ -246,7 +247,7 @@ func New(cfg Config, traces [][]model.PageID) (*Sim, error) {
 		nextActive: make([]model.CoreID, 0, p),
 		candidates: make([]model.CoreID, 0, p),
 		backend:    backend,
-		landBuf:    make([]membackend.Transfer, 0, backend.MaxInFlight()),
+		landBuf:    make([]membackend.Transfer, 0, min(backend.MaxInFlight(), p)),
 	}
 	s.wbSink, _ = backend.(membackend.WritebackSink)
 	for i := range s.scanTo {

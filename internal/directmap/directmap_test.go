@@ -2,6 +2,7 @@ package directmap
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -89,6 +90,11 @@ func TestTransformErrors(t *testing.T) {
 	}
 	if _, err := NewTransform(4, replacement.Clock, 4, 1); err == nil {
 		t.Fatal("clock transform accepted (lemma covers LRU and FIFO only)")
+	}
+	// 3k block addresses must stay below the empty-slot marker, the
+	// largest 32-bit page ID; refused before anything is allocated.
+	if _, err := NewTransform(1<<31, replacement.LRU, 1, 1); err == nil || !strings.Contains(err.Error(), "past the largest page ID 4294967295") {
+		t.Fatalf("k=2^31: error %v, want the page ID limit", err)
 	}
 }
 

@@ -96,7 +96,8 @@ func (s TransformStats) AvgChain() float64 {
 const nilIdx int32 = -1
 
 // noBlock marks an empty slot of the transform's direct-mapped cache;
-// block addresses stay below 3k.
+// block addresses stay below 3k, which NewTransform keeps at most
+// noBlock.
 const noBlock = ^model.PageID(0)
 
 // NewTransform builds the transformed program for a simulated
@@ -109,6 +110,9 @@ func NewTransform(k int, kind replacement.Kind, factor int, seed int64) (*Transf
 	}
 	if factor < 1 {
 		return nil, fmt.Errorf("directmap: cache factor must be >= 1, got %d", factor)
+	}
+	if 3*uint64(k) > model.MaxPageID {
+		return nil, fmt.Errorf("directmap: capacity %d needs %d block addresses, past the largest page ID %d", k, 3*uint64(k), uint64(model.MaxPageID))
 	}
 	if kind != replacement.LRU && kind != replacement.FIFO {
 		return nil, fmt.Errorf("directmap: transform supports lru and fifo, got %q", kind)

@@ -108,8 +108,10 @@ type Backend interface {
 	Drain(t model.Tick, dst []Transfer) []Transfer
 
 	// MaxInFlight bounds the started, not-yet-drained transfers over
-	// any run — the snapshot decoder's allocation guard and the kernel's
-	// landing-buffer size.
+	// any run — the snapshot decoder's allocation guard. The kernel's
+	// landing buffer and the in-flight queue hold at most one transfer
+	// per core, so they are sized by the smaller of it and the core
+	// count.
 	MaxInFlight() int
 
 	// NextEventTick returns the earliest tick at which an in-flight
@@ -268,15 +270,20 @@ func MissSlack(c Config, fetchLatency int) int {
 }
 
 // New constructs the configured backend for a kernel with q far
-// channels and the given reference-model fetch latency (which only the
-// Reference backend reads).
-func New(c Config, channels, fetchLatency int) (Backend, error) {
+// channels, the given reference-model fetch latency (which only the
+// Reference backend reads) and the given number of cores. A core has at
+// most one fetch outstanding, so the in-flight queue is preallocated to
+// min(MaxInFlight, cores) transfers.
+func New(c Config, channels, fetchLatency, cores int) (Backend, error) {
 	c = c.WithDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if channels < 1 {
 		return nil, fmt.Errorf("membackend: need channels >= 1, got %d", channels)
+	}
+	if cores < 1 {
+		return nil, fmt.Errorf("membackend: need cores >= 1, got %d", cores)
 	}
 	switch c.Kind {
 	case Reference:
@@ -286,11 +293,11 @@ func New(c Config, channels, fetchLatency int) (Backend, error) {
 		if fetchLatency < 1 {
 			fetchLatency = 1
 		}
-		return newReference(channels, fetchLatency), nil
+		return newReference(channels, fetchLatency, cores), nil
 	case Bandwidth:
-		return newBandwidth(c, channels), nil
+		return newBandwidth(c, channels, cores), nil
 	case Hybrid:
-		return newHybrid(c, channels), nil
+		return newHybrid(c, channels, cores), nil
 	}
 	return nil, fmt.Errorf("membackend: unknown backend %q", c.Kind)
 }

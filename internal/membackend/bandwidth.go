@@ -27,14 +27,14 @@ type bandwidth struct {
 	freeAt []model.Tick
 }
 
-func newBandwidth(c Config, channels int) *bandwidth {
+func newBandwidth(c Config, channels, cores int) *bandwidth {
 	b := &bandwidth{
 		occupancy: model.Tick(c.occupancy()),
 		latency:   model.Tick(c.LatencyTicks),
 		pageBytes: c.PageBytes,
 		freeAt:    make([]model.Tick, channels),
 	}
-	b.inflight = newInflight(b.MaxInFlight())
+	b.inflight = newInflight(b.MaxInFlight(), cores)
 	return b
 }
 

@@ -41,7 +41,7 @@ type hybrid struct {
 	wbFreeAt model.Tick
 }
 
-func newHybrid(c Config, channels int) *hybrid {
+func newHybrid(c Config, channels, cores int) *hybrid {
 	b := &hybrid{
 		channels:  channels,
 		fastSlots: c.FastSlots,
@@ -53,7 +53,7 @@ func newHybrid(c Config, channels int) *hybrid {
 		fastFIFO:  make([]model.PageID, 0, c.FastSlots),
 		fastSet:   make(map[model.PageID]struct{}, c.FastSlots),
 	}
-	b.inflight = newInflight(b.MaxInFlight())
+	b.inflight = newInflight(b.MaxInFlight(), cores)
 	return b
 }
 

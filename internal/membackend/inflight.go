@@ -9,8 +9,9 @@ import (
 // tick, ties in start order, so the transfers due at a tick are always
 // a prefix. Every backend embeds one and inherits Drain and
 // NextEventTick from it; bandwidth and hybrid inherit DueAt too. The
-// backing array is preallocated to the backend's MaxInFlight, so the
-// steady state never allocates.
+// backing array is preallocated to the smaller of the backend's
+// MaxInFlight and the core count (a core has at most one fetch
+// outstanding), so the steady state never allocates.
 type inflight struct {
 	xs []pending
 }
@@ -22,7 +23,9 @@ type pending struct {
 	done model.Tick
 }
 
-func newInflight(capacity int) inflight { return inflight{xs: make([]pending, 0, capacity)} }
+func newInflight(maxInFlight, cores int) inflight {
+	return inflight{xs: make([]pending, 0, min(maxInFlight, cores))}
+}
 
 // insert places x after every transfer due at or before x.done. A
 // transfer due no earlier than the last one is appended, which is every

@@ -10,9 +10,15 @@ import (
 	"hbmsim/internal/snap"
 )
 
+// manyCores is more cores than any backend in these tests keeps
+// transfers in flight, so each in-flight queue is preallocated to its
+// MaxInFlight: the suites start transfers without the kernel's one
+// outstanding fetch per core.
+const manyCores = 1 << 10
+
 func mustNew(t testing.TB, cfg Config, channels, latency int) Backend {
 	t.Helper()
-	b, err := New(cfg, channels, latency)
+	b, err := New(cfg, channels, latency, manyCores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,16 +211,20 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	if err := (Config{Kind: Bandwidth, LatencyTicks: -1}).Validate(); err == nil {
 		t.Fatal("negative latency_ticks must fail validation")
 	}
-	// New sizes the in-flight queue as channels x (latency_ticks+2): a
-	// latency that overflows it must be refused before New sees it.
+	// MaxInFlight is channels x (latency_ticks+2), the snapshot decode
+	// bound: a latency that overflows it must be refused before New sees
+	// it.
 	if err := (Config{Kind: Bandwidth, LatencyTicks: math.MaxInt}).Validate(); err == nil {
 		t.Fatal("latency_ticks above the parameter bound must fail validation")
 	}
-	if _, err := New(Config{Kind: Reference}, 0, 1); err == nil {
+	if _, err := New(Config{Kind: Reference}, 0, 1, 1); err == nil {
 		t.Fatal("zero channels must fail")
 	}
-	// The reference model sizes its queue as channels x fetch latency.
-	if _, err := New(Config{Kind: Reference}, 2, 1<<62); err == nil {
+	if _, err := New(Config{Kind: Reference}, 1, 1, 0); err == nil {
+		t.Fatal("zero cores must fail")
+	}
+	// The reference model's MaxInFlight is channels x fetch latency.
+	if _, err := New(Config{Kind: Reference}, 2, 1<<62, 1); err == nil {
 		t.Fatal("a fetch latency above the parameter bound must fail")
 	}
 }
@@ -290,7 +300,7 @@ func FuzzParseBackend(f *testing.F) {
 			t.Fatalf("Parse(%q, %q) accepted %+v, which does not validate: %v", name, params, c, err)
 		}
 		for q := 1; q <= 3; q++ {
-			if _, err := New(c, q, 1); err != nil {
+			if _, err := New(c, q, 1, 1); err != nil {
 				t.Fatalf("Parse(%q, %q) accepted %+v, which New refuses at %d channels: %v", name, params, c, q, err)
 			}
 		}
@@ -382,7 +392,7 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 // Benchmarks: per-backend cost of the kernel-facing call sequence under
 // a steady granted load, for the benchjson backend dimension.
 func benchBackend(b *testing.B, cfg Config, channels, latency int) {
-	be, err := New(cfg, channels, latency)
+	be, err := New(cfg, channels, latency, manyCores)
 	if err != nil {
 		b.Fatal(err)
 	}

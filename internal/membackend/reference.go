@@ -23,9 +23,9 @@ type reference struct {
 	latency  int
 }
 
-func newReference(channels, latency int) *reference {
+func newReference(channels, latency, cores int) *reference {
 	b := &reference{channels: channels, latency: latency}
-	b.inflight = newInflight(b.MaxInFlight())
+	b.inflight = newInflight(b.MaxInFlight(), cores)
 	return b
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
 )
 
@@ -128,11 +129,19 @@ func (r *Recorder) Reset() {
 }
 
 // Trace maps the recorded byte addresses to a page-reference trace with
-// the given page size in bytes.
+// the given page size in bytes. Every recorded address lies below the
+// top of the recorder's address space, so Trace refuses, once per
+// recording, an address space whose last page does not fit a 32-bit
+// page ID.
 func (r *Recorder) Trace(pageBytes int) (trace.Trace, error) {
 	m, err := trace.NewPageMapper(pageBytes)
 	if err != nil {
 		return nil, err
+	}
+	if r.next > 0 {
+		if last := (r.next - 1) / uint64(pageBytes); last > model.MaxPageID {
+			return nil, fmt.Errorf("memlog: a %d-byte address space in %d-byte pages ends at page %d, past the largest page ID %d", r.next, pageBytes, last, uint64(model.MaxPageID))
+		}
 	}
 	out := make(trace.Trace, r.Len())
 	for i, c := range r.chunks[:r.filled] {

@@ -3,6 +3,7 @@ package memlog
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hbmsim/internal/model"
@@ -109,6 +110,45 @@ func TestReset(t *testing.T) {
 	s.Get(1)
 	if rec.Len() != 1 {
 		t.Fatal("recording after reset broken")
+	}
+}
+
+// TestTraceRefusesPagesPast32Bits: Trace refuses a recording whose
+// address space ends past the largest 32-bit page ID, and maps one that
+// ends exactly there. Zero-size elements reserve the address space
+// without allocating it.
+func TestTraceRefusesPagesPast32Bits(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		bytes     int // address space, reserved in elements of elemBytes
+		elemBytes int
+		pageBytes int
+		err       string
+	}{
+		{"1-byte pages, 2^32 bytes", 1 << 32, 1, 1, ""},
+		{"1-byte pages, 2^32+1 bytes", 1<<32 + 1, 1, 1, "memlog: a 4294967297-byte address space in 1-byte pages ends at page 4294967296, past the largest page ID 4294967295"},
+		{"4 KiB pages, 2^44 bytes", 1 << 44, 8, 4096, ""},
+		{"4 KiB pages, 2^44+8 bytes", 1<<44 + 8, 8, 4096, "memlog: a 17592186044424-byte address space in 4096-byte pages ends at page 4294967296, past the largest page ID 4294967295"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := NewRecorder(nil)
+			s := NewSlice[struct{}](rec, c.bytes/c.elemBytes, c.elemBytes)
+			s.Get(0)
+			s.Get(s.Len() - 1)
+			tr, err := rec.Trace(c.pageBytes)
+			if c.err != "" {
+				if err == nil || err.Error() != c.err {
+					t.Fatalf("error %v, want %q", err, c.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []model.PageID{0, 1<<32 - 1}; !slices.Equal(tr, want) {
+				t.Fatalf("trace %v, want %v", tr, want)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package model defines the elementary types of the HBM+DRAM model of
-// DeLayo et al. (SPAA 2022): pages, cores, ticks, and outstanding DRAM
-// requests. Every other package in the simulator builds on these types.
+// DeLayo et al. (SPAA 2022): pages (32-bit IDs), cores, ticks, and
+// outstanding DRAM requests. Every other package in the simulator builds
+// on these types.
 //
 // In the model, p cores are connected to an HBM of k block slots by p
 // parallel channels, and the HBM is connected to unbounded DRAM by q << p
@@ -14,7 +15,17 @@ import "fmt"
 // global: by Property 1 of the model the sets of pages accessed by distinct
 // cores are mutually exclusive, and the trace package enforces that by
 // offsetting each core's pages into a disjoint range.
-type PageID uint64
+//
+// A PageID is 32 bits wide, so every trace stores a reference in 4 bytes:
+// simulated workloads are numbered densely from 0, and a workload has no
+// more distinct pages than references. Wherever a wider value enters (a
+// trace file, an address space, a page count), it is refused against
+// MaxPageID, never truncated.
+type PageID uint32
+
+// MaxPageID is the largest page ID: a workload holds at most 2^32
+// distinct pages.
+const MaxPageID = 1<<32 - 1
 
 // CoreID indexes a core (equivalently, a thread: the model runs one thread
 // per core). Cores are numbered 0..p-1.

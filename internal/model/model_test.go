@@ -16,11 +16,13 @@ func TestRequestString(t *testing.T) {
 }
 
 func TestTypeRanges(t *testing.T) {
-	// PageID is 64-bit; CoreID is 32-bit; Tick is 64-bit — the model
-	// assumes billions of pages/ticks but only thousands of cores.
-	var p PageID = 1 << 62
-	if p>>62 != 1 {
-		t.Error("PageID narrower than 64 bits")
+	// PageID is 32-bit: a simulated workload is numbered densely from 0,
+	// so 2^32 pages is far more than any trace in memory can reference.
+	// CoreID is 32-bit and Tick 64-bit — runs last billions of ticks
+	// but use only thousands of cores.
+	var p PageID = MaxPageID
+	if p+1 != 0 || p>>31 != 1 {
+		t.Error("PageID is not 32 bits wide")
 	}
 	var tick Tick = 1 << 62
 	if tick>>62 != 1 {

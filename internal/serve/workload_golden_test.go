@@ -179,7 +179,7 @@ func goldenMixedSpecs() []workloads.MixedSpec {
 }
 
 // goldenSparseTraces returns five cores of raw page IDs far too sparse
-// for a lookup table: IDs around 2^60, IDs at the top of the 64-bit
+// for a lookup table: IDs around 2^31, IDs at the top of the 32-bit
 // range, a core mixing small IDs with huge ones, and two cores sharing
 // the same IDs.
 func goldenSparseTraces() []trace.Trace {
@@ -188,22 +188,22 @@ func goldenSparseTraces() []trace.Trace {
 	for i := range traces {
 		tr := make(trace.Trace, 200)
 		for j := range tr {
-			k := uint64(rng.Intn(50))
-			var p uint64
+			k := model.PageID(rng.Intn(50))
+			var p model.PageID
 			switch i {
 			case 0, 4:
-				p = 1<<60 + k
+				p = 1<<31 + k
 			case 1:
-				p = 1<<60 + k<<20
+				p = 1<<31 + k<<20
 			case 2:
-				p = ^uint64(0) - k
+				p = model.MaxPageID - k
 			case 3:
 				p = k
 				if k%7 == 0 {
-					p = 1<<60 + k
+					p = 1<<31 + k
 				}
 			}
-			tr[j] = model.PageID(p)
+			tr[j] = p
 		}
 		traces[i] = tr
 	}

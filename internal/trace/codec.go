@@ -19,7 +19,9 @@ import (
 //	zigzag varint deltas from the previous reference.
 //
 // Delta-zigzag encoding makes sequential scans (the common case for the
-// instrumented kernels) nearly one byte per reference.
+// instrumented kernels) nearly one byte per reference. Every decoded page
+// ID must be at most model.MaxPageID (2^32-1); the readers refuse a wider
+// one, naming its core, reference index and value.
 
 var binaryMagic = [4]byte{'H', 'B', 'M', 'T'}
 
@@ -33,6 +35,12 @@ func clampCap(declared, limit uint64) int {
 }
 
 const binaryVersion = 1
+
+// pageRangeError refuses a decoded page ID that does not fit in the 32
+// bits of a model.PageID.
+func pageRangeError(core, ref, page uint64) error {
+	return fmt.Errorf("core %d ref %d: page %d is past the largest page ID %d", core, ref, page, uint64(model.MaxPageID))
+}
 
 // WriteBinary encodes the workload in the binary trace format.
 func WriteBinary(w io.Writer, wl *Workload) error {
@@ -132,6 +140,9 @@ func ReadBinary(r io.Reader) (*Workload, error) {
 				return nil, fmt.Errorf("trace: core %d ref %d: %w", i, j, err)
 			}
 			prev += uint64(d)
+			if prev > model.MaxPageID {
+				return nil, fmt.Errorf("trace: %w", pageRangeError(i, j, prev))
+			}
 			tr = append(tr, model.PageID(prev))
 		}
 		wl.Traces = append(wl.Traces, tr)
@@ -201,6 +212,9 @@ func ReadText(r io.Reader) (*Workload, error) {
 		v, err := strconv.ParseUint(line, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+		}
+		if v > model.MaxPageID {
+			return nil, fmt.Errorf("trace: line %d: %w", lineNo, pageRangeError(uint64(cur), uint64(len(wl.Traces[cur])), v))
 		}
 		wl.Traces[cur] = append(wl.Traces[cur], model.PageID(v))
 	}

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,7 +20,7 @@ func sampleWorkload() *Workload {
 		Traces: []Trace{
 			{0, 1, 2, 1, 0},
 			{},
-			{1 << 40, 1<<40 + 1, 5},
+			{model.MaxPageID - 1, model.MaxPageID, 5},
 		},
 	}
 }
@@ -121,6 +125,82 @@ func TestTextIgnoresBlanksAndStrayComments(t *testing.T) {
 	}
 }
 
+// binaryPages encodes a two-core binary trace, core 0 empty and core 1
+// referencing pages, the way WriteBinary would if a page ID were 64-bit.
+func binaryPages(pages ...uint64) []byte {
+	b := []byte{'H', 'B', 'M', 'T', binaryVersion, 0, 2, 0}
+	b = binary.AppendUvarint(b, uint64(len(pages)))
+	prev := uint64(0)
+	for _, p := range pages {
+		b = binary.AppendVarint(b, int64(p-prev))
+		prev = p
+	}
+	return b
+}
+
+// TestReadBinaryPageRange: the binary reader accepts the largest 32-bit
+// page ID, which round-trips byte for byte, and refuses a wider one,
+// naming its core, reference index and value.
+func TestReadBinaryPageRange(t *testing.T) {
+	for _, c := range []struct {
+		page uint64
+		err  string
+	}{
+		{1<<32 - 1, ""},
+		{1 << 32, "trace: core 1 ref 1: page 4294967296 is past the largest page ID 4294967295"},
+		{math.MaxUint64, "trace: core 1 ref 1: page 18446744073709551615 is past the largest page ID 4294967295"},
+	} {
+		in := binaryPages(5, c.page)
+		wl, err := ReadBinary(bytes.NewReader(in))
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("page %d: error %v, want %q", c.page, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("page %d: %v", c.page, err)
+		}
+		if len(wl.Traces) != 2 || len(wl.Traces[0]) != 0 || !slices.Equal(wl.Traces[1], Trace{5, model.PageID(c.page)}) {
+			t.Fatalf("page %d: decoded %v", c.page, wl.Traces)
+		}
+		var out bytes.Buffer
+		if err := WriteBinary(&out, wl); err != nil || !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("page %d: re-encoded as %x (error %v), want %x", c.page, out.Bytes(), err, in)
+		}
+	}
+}
+
+// TestReadTextPageRange: the text reader accepts the largest 32-bit page
+// ID, which round-trips, and refuses a wider one, naming its line, core,
+// reference index and value.
+func TestReadTextPageRange(t *testing.T) {
+	for _, c := range []struct {
+		page uint64
+		err  string
+	}{
+		{1<<32 - 1, ""},
+		{1 << 32, "trace: line 5: core 1 ref 1: page 4294967296 is past the largest page ID 4294967295"},
+		{math.MaxUint64, "trace: line 5: core 1 ref 1: page 18446744073709551615 is past the largest page ID 4294967295"},
+	} {
+		in := fmt.Sprintf("# workload w\n# core 0\n# core 1\n5\n%d\n", c.page)
+		wl, err := ReadText(strings.NewReader(in))
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("page %d: error %v, want %q", c.page, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("page %d: %v", c.page, err)
+		}
+		var out bytes.Buffer
+		if err := WriteText(&out, wl); err != nil || out.String() != in {
+			t.Fatalf("page %d: re-encoded as %q (error %v), want %q", c.page, out.String(), err, in)
+		}
+	}
+}
+
 // TestCodecPropertyRoundTrip fuzzes workloads through both codecs.
 func TestCodecPropertyRoundTrip(t *testing.T) {
 	f := func(seed int64, nameBytes []byte) bool {
@@ -135,7 +215,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		for c := 0; c < rng.Intn(5); c++ {
 			tr := make(Trace, rng.Intn(50))
 			for j := range tr {
-				tr[j] = model.PageID(rng.Uint64() >> uint(rng.Intn(64)))
+				tr[j] = model.PageID(rng.Uint32() >> uint(rng.Intn(32)))
 			}
 			wl.Traces = append(wl.Traces, tr)
 		}

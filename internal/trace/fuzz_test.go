@@ -17,6 +17,8 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("HBMT"))
 	f.Add([]byte{'H', 'B', 'M', 'T', 1, 0, 0})
+	f.Add(binaryPages(5, 1<<32-1)) // the largest page ID: accepted
+	f.Add(binaryPages(5, 1<<32))   // one past it: refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -41,6 +43,8 @@ func FuzzReadText(f *testing.F) {
 	f.Add("# workload w\n# core 0\n1\n2\n")
 	f.Add("42\n")
 	f.Add("# core 0\n99999999999999999999999999\n")
+	f.Add("# core 0\n4294967295\n") // the largest page ID: accepted
+	f.Add("# core 0\n4294967296\n") // one past it: refused
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
 		got, err := ReadText(bytes.NewReader([]byte(s)))

@@ -144,10 +144,10 @@ func TestRenumberAndStatsMatchMapOracle(t *testing.T) {
 		{"dense", []Trace{{100, 200, 100}, {0, 1, 0, 2}}},
 		{"overlapping", []Trace{{1, 2, 3}, {3, 4}, {5, 1}}},
 		{"overlap-same-core-first", []Trace{{7, 7, 8}, {9, 8, 7}}},
-		{"sparse", []Trace{{1 << 60, 3, 1 << 60}, {1<<60 + 1, 1 << 62}}},
-		{"near-2^64", []Trace{{top, top - 1, top}, {top - 2, 0, top - 2}}},
+		{"sparse", []Trace{{1 << 31, 3, 1 << 31}, {1<<31 + 1, 3 << 30}}},
+		{"near-2^32", []Trace{{top, top - 1, top}, {top - 2, 0, top - 2}}},
 		{"table-limit", []Trace{{1035, 0, 1035}, {1036, 1035, 1}}},
-		{"past-limit-after-growth", []Trace{{0, 2000, 5000, 1 << 40, 2000, 0}}},
+		{"past-limit-after-growth", []Trace{{0, 2000, 5000, 1 << 31, 2000, 0}}},
 		{"many-cores", []Trace{{0}, {1}, {2}, {3}, {1}, {4, 4}}},
 	}
 	for _, c := range cases {
@@ -172,8 +172,8 @@ func TestPageTableStaysSmall(t *testing.T) {
 	if ids.m == nil || ids.flat != nil {
 		t.Fatalf("ID at the limit kept a flat table of %d entries", len(ids.flat))
 	}
-	ids.set(1<<60, 3)
-	for p, want := range map[model.PageID]int32{1063: 1, 1064: 2, 1 << 60: 3, 5: 0} {
+	ids.set(1<<31, 3)
+	for p, want := range map[model.PageID]int32{1063: 1, 1064: 2, 1 << 31: 3, 5: 0} {
 		if got := ids.get(p); got != want {
 			t.Fatalf("get(%d) = %d after the move to a map, want %d", p, got, want)
 		}
@@ -182,8 +182,8 @@ func TestPageTableStaysSmall(t *testing.T) {
 
 // fuzzTrace decodes data into page IDs of four kinds, picked by the low
 // two bits of each 16-bit word: small IDs, IDs straddling the flat
-// table's limit for a trace this long, IDs near 2^64, and IDs 2^40
-// apart.
+// table's limit for a trace this long, IDs near 2^32, and IDs 2^16
+// apart from 2^31, past the flat table's cap.
 func fuzzTrace(data []byte) Trace {
 	n := len(data) / 2
 	limit := uint64(4*n + 1024)
@@ -197,9 +197,9 @@ func fuzzTrace(data []byte) Trace {
 		case 1:
 			tr[i] = model.PageID(limit - 4 + k%8)
 		case 2:
-			tr[i] = model.PageID(^uint64(0) - k%64)
+			tr[i] = model.PageID(model.MaxPageID - k%64)
 		case 3:
-			tr[i] = model.PageID(k << 40)
+			tr[i] = model.PageID(1<<31 + k<<16)
 		}
 	}
 	return tr
@@ -207,13 +207,14 @@ func fuzzTrace(data []byte) Trace {
 
 // FuzzRenumber checks Renumber and the table-backed workload statistics
 // against their map oracles on traces mixing dense, table-limit, near
-// 2^64 and sparse IDs, split into two cores at an arbitrary point.
+// 2^32 and sparse IDs, split into two cores at an arbitrary point. The
+// base is taken modulo 2^32.
 func FuzzRenumber(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint8(0))
 	f.Add([]byte{0, 4, 0, 8, 0, 4, 0, 12}, uint64(0), uint8(2))
 	f.Add([]byte{0, 1, 0, 5, 0, 13, 0, 1, 0, 0}, uint64(9), uint8(3))
-	f.Add([]byte{0, 2, 0, 6, 0, 2, 0, 3, 0, 7, 0, 3}, ^uint64(0), uint8(1))
-	f.Add([]byte{1, 0, 0, 1, 1, 0, 0, 2, 0, 3, 1, 0}, uint64(1)<<40, uint8(5))
+	f.Add([]byte{0, 2, 0, 6, 0, 2, 0, 3, 0, 7, 0, 3}, uint64(model.MaxPageID), uint8(1))
+	f.Add([]byte{1, 0, 0, 1, 1, 0, 0, 2, 0, 3, 1, 0}, uint64(1)<<31, uint8(5))
 	f.Fuzz(func(t *testing.T, data []byte, base uint64, split uint8) {
 		tr := fuzzTrace(data)
 		cut := int(split) % (len(tr) + 1)

@@ -26,13 +26,20 @@ type Workload struct {
 // NewWorkload builds a disjoint workload from per-core traces that may
 // share page numbers (e.g. p independent runs of the same program): each
 // core's pages are renumbered into a private dense range, preserving the
-// reference structure within the core.
+// reference structure within the core. The ranges are laid end to end
+// from 0 in 32-bit page IDs, so NewWorkload panics if the cores' distinct
+// pages together pass 2^32, which takes more than 16 GiB of traces.
 func NewWorkload(name string, traces []Trace) *Workload {
 	out := make([]Trace, len(traces))
 	var base model.PageID
+	var pages uint64
 	for i, tr := range traces {
 		out[i] = make(Trace, len(tr))
-		base += model.PageID(Renumber(out[i], tr, base))
+		n := Renumber(out[i], tr, base)
+		if pages += uint64(n); pages > model.MaxPageID+1 {
+			panic(fmt.Sprintf("trace: workload %q has more than %d distinct pages, the 32-bit page ID limit", name, uint64(model.MaxPageID)+1))
+		}
+		base += model.PageID(n)
 	}
 	return &Workload{Name: name, Traces: out}
 }
@@ -92,7 +99,7 @@ const maxFlatPages = 1 << 26
 // [0, max page] that grows as larger IDs are set, up to four entries per
 // reference the table was sized for plus 1024 (and at most
 // maxFlatPages); the first ID past that moves every value to a map, so a
-// sparse 64-bit ID never allocates a giant table.
+// sparse ID never allocates a giant table.
 type pageTable struct {
 	flat  []int32
 	limit uint64
@@ -238,7 +245,10 @@ func (w *Workload) Subset(p int) *Workload {
 	return &Workload{Name: w.Name, Traces: w.Traces[:p]}
 }
 
-// PageMapper maps raw element indices or byte addresses onto pages.
+// PageMapper maps raw element indices or byte addresses onto pages. The
+// caller bounds the addresses: every page it maps must be at most
+// model.MaxPageID (memlog.Recorder.Trace checks its address space once,
+// so the per-address loop in Pages stays a shift).
 type PageMapper struct {
 	// unit is the number of addressable units per page.
 	unit uint64

@@ -36,6 +36,9 @@ func AdversarialTrace(cfg AdversarialConfig) (trace.Trace, error) {
 	if cfg.Pages <= 0 || cfg.Reps <= 0 {
 		return nil, fmt.Errorf("workloads: adversarial pages (%d) and reps (%d) must be positive", cfg.Pages, cfg.Reps)
 	}
+	if uint64(cfg.Pages) > model.MaxPageID+1 {
+		return nil, fmt.Errorf("workloads: adversarial pages (%d) pass the %d 32-bit page IDs", cfg.Pages, uint64(model.MaxPageID)+1)
+	}
 	out := make(trace.Trace, 0, cfg.Pages*cfg.Reps)
 	for r := 0; r < cfg.Reps; r++ {
 		for p := 0; p < cfg.Pages; p++ {

@@ -154,6 +154,39 @@ func TestSyntheticErrors(t *testing.T) {
 	}
 }
 
+// TestGeneratorsRefusePagesPast32Bits: a synthetic page universe of
+// 2^32 pages fits 32-bit page IDs and builds; a larger one is refused
+// rather than narrowed into a different trace. The adversarial cycle is
+// refused the same way, before its trace is allocated.
+func TestGeneratorsRefusePagesPast32Bits(t *testing.T) {
+	for _, c := range []struct {
+		kind  SyntheticKind
+		pages int
+		err   string
+	}{
+		{Uniform, 1 << 32, ""},
+		{Zipfian, 1 << 32, ""},
+		{Strided, 1 << 32, ""},
+		{Uniform, 1<<32 + 1, "workloads: synthetic pages (4294967297) pass the 4294967296 32-bit page IDs"},
+		{Zipfian, 1 << 40, "workloads: synthetic pages (1099511627776) pass the 4294967296 32-bit page IDs"},
+		{Strided, 1 << 40, "workloads: synthetic pages (1099511627776) pass the 4294967296 32-bit page IDs"},
+	} {
+		tr, err := SyntheticTrace(SyntheticConfig{Kind: c.kind, Refs: 10, Pages: c.pages}, 1)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%s, %d pages: error %v, want %q", c.kind, c.pages, err, c.err)
+			}
+			continue
+		}
+		if err != nil || len(tr) != 10 {
+			t.Errorf("%s, %d pages: %d refs, error %v", c.kind, c.pages, len(tr), err)
+		}
+	}
+	if _, err := AdversarialTrace(AdversarialConfig{Pages: 1<<32 + 1, Reps: 1}); err == nil || err.Error() != "workloads: adversarial pages (4294967297) pass the 4294967296 32-bit page IDs" {
+		t.Errorf("adversarial, 2^32+1 pages: error %v", err)
+	}
+}
+
 func TestStridedCoversUniverse(t *testing.T) {
 	tr, err := SyntheticTrace(SyntheticConfig{Kind: Strided, Refs: 7, Pages: 7, Stride: 3}, 1)
 	if err != nil {

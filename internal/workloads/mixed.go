@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 
-	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
 )
 
@@ -28,7 +27,7 @@ func Mixed(specs []MixedSpec, baseSeed int64) (*trace.Workload, error) {
 		return nil, fmt.Errorf("workloads: mixed workload needs at least one component")
 	}
 	var traces []trace.Trace
-	var next model.PageID
+	var next uint64
 	name := "mixed"
 	seed := baseSeed
 	for i, sp := range specs {

@@ -28,7 +28,7 @@ type SyntheticConfig struct {
 	Kind SyntheticKind
 	// Refs is the trace length.
 	Refs int
-	// Pages is the size of the page universe referenced.
+	// Pages is the size of the page universe referenced, at most 2^32.
 	Pages int
 	// ZipfS is the Zipf exponent (> 1); defaults to 1.2. Zipf only.
 	ZipfS float64
@@ -54,6 +54,9 @@ func SyntheticTrace(cfg SyntheticConfig, seed int64) (trace.Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Refs <= 0 || cfg.Pages <= 0 {
 		return nil, fmt.Errorf("workloads: synthetic refs (%d) and pages (%d) must be positive", cfg.Refs, cfg.Pages)
+	}
+	if uint64(cfg.Pages) > model.MaxPageID+1 {
+		return nil, fmt.Errorf("workloads: synthetic pages (%d) pass the %d 32-bit page IDs", cfg.Pages, uint64(model.MaxPageID)+1)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	out := make(trace.Trace, cfg.Refs)

@@ -70,8 +70,9 @@ func generate(name string, cores int, baseSeed int64, gen coreGen) (*trace.Workl
 // than 0; it also returns the workload's distinct-page count. The cores
 // share one free list of log chunks, so the build holds the access logs
 // of only the cores in flight, and each core's renumbered trace is the
-// one gen returned.
-func build(name string, cores int, baseSeed int64, gen coreGen, first model.PageID) (*trace.Workload, model.PageID, error) {
+// one gen returned. Page IDs are 32-bit: a workload whose pages, counted
+// from first, pass 2^32 is an error.
+func build(name string, cores int, baseSeed int64, gen coreGen, first uint64) (*trace.Workload, uint64, error) {
 	if cores <= 0 {
 		return nil, 0, fmt.Errorf("workloads: core count must be positive, got %d", cores)
 	}
@@ -94,12 +95,21 @@ func build(name string, cores int, baseSeed int64, gen coreGen, first model.Page
 		}
 	}
 	// Each core now numbers its pages from 0; shift it past the cores
-	// before it.
+	// before it, once every shifted page is known to fit.
+	end := first
+	for _, u := range unique {
+		end += uint64(u)
+	}
+	if end > model.MaxPageID+1 {
+		return nil, 0, fmt.Errorf("workloads: %s: %d pages numbered from %d pass the largest page ID %d", name, end-first, first, uint64(model.MaxPageID))
+	}
 	bases := make([]model.PageID, cores)
 	next := first
 	for i, u := range unique {
-		bases[i] = next
-		next += model.PageID(u)
+		if u > 0 { // next+u <= end <= 2^32, so next fits
+			bases[i] = model.PageID(next)
+		}
+		next += uint64(u)
 	}
 	trace.Parallel(cores, func(i int) {
 		if b := bases[i]; b != 0 {
@@ -109,7 +119,7 @@ func build(name string, cores int, baseSeed int64, gen coreGen, first model.Page
 			}
 		}
 	})
-	return trace.Raw(name, traces), next - first, nil
+	return trace.Raw(name, traces), end - first, nil
 }
 
 // Imbalance truncates each core's trace to a fraction of its length that

@@ -1,10 +1,13 @@
 package workloads
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"hbmsim/internal/core"
+	"hbmsim/internal/memlog"
+	"hbmsim/internal/model"
 	"hbmsim/internal/trace"
 )
 
@@ -42,6 +45,41 @@ func TestBuildErrors(t *testing.T) {
 	ok := func(int64) (trace.Trace, error) { return trace.Trace{1}, nil }
 	if _, err := Build("w", 0, 1, ok); err == nil {
 		t.Fatal("zero cores should be rejected")
+	}
+}
+
+// TestBuildRefusesPagesPast32Bits: a workload whose pages, counted from
+// first, pass 2^32 is refused before any core is shifted; one that ends
+// exactly at the largest page ID is built.
+func TestBuildRefusesPagesPast32Bits(t *testing.T) {
+	gen := func(int64, *memlog.FreeList) (trace.Trace, error) { return trace.Trace{7, 8, 9, 7}, nil }
+	for _, c := range []struct {
+		name  string
+		first uint64
+		cores int
+		err   string
+	}{
+		{"ends at 2^32-1", 1<<32 - 6, 2, ""},
+		{"one page past", 1<<32 - 5, 2, "workloads: w: 6 pages numbered from 4294967291 pass the largest page ID 4294967295"},
+		{"first at 2^32", 1 << 32, 1, "workloads: w: 3 pages numbered from 4294967296 pass the largest page ID 4294967295"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			wl, n, err := build("w", c.cores, 1, gen, c.first)
+			if c.err != "" {
+				if err == nil || err.Error() != c.err {
+					t.Fatalf("error %v, want %q", err, c.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := model.PageID(model.MaxPageID)
+			want := [][]model.PageID{{top - 5, top - 4, top - 3, top - 5}, {top - 2, top - 1, top, top - 2}}
+			if n != 6 || !reflect.DeepEqual(wl.Raw(), want) {
+				t.Fatalf("built %d pages %v, want 6 pages %v", n, wl.Raw(), want)
+			}
+		})
 	}
 }
 
