@@ -8,7 +8,7 @@ BENCHTIME ?= 0.5s
 # Each benchmark runs BENCH_COUNT times and benchjson keeps the fastest
 # run, so snapshots (and the bench-diff gate) resist machine noise.
 BENCH_COUNT ?= 3
-BENCH_OUT ?= BENCH_PR30.json
+BENCH_OUT ?= BENCH_PR31.json
 # bench-diff compares the previous PR's committed snapshot against the
 # current one and fails on ns/op regressions past BENCH_THRESHOLD
 # percent or allocs/op regressions past BENCH_ALLOC_THRESHOLD percent,
@@ -25,7 +25,7 @@ BENCH_OUT ?= BENCH_PR30.json
 # not on code. Real kernel-level regressions this gate exists to catch
 # (an accidental O(n) in the tick loop, a lost fast path) show up well
 # past 50% or in allocs/op first.
-BENCH_BASE ?= BENCH_PR28.json
+BENCH_BASE ?= BENCH_PR30.json
 BENCH_THRESHOLD ?= 50
 BENCH_ALLOC_THRESHOLD ?= 25
 
@@ -142,39 +142,37 @@ profile:
 		-o profiles/core.test ./internal/core
 	@echo "wrote profiles/cpu.out profiles/mem.out (binary: profiles/core.test)"
 
-# Short fuzzing pass over the trace codecs, page renumbering, the
-# construction scan, the checkpoint format, log recovery,
-# result-cache entries, the miss-ratio curve, the backend parameter
-# parser and the traceparent header parser.
-fuzz:
-	$(GO) test -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz=FuzzReadText -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz=FuzzRenumber -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz=FuzzCompact -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzResumeCorrupt -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=30s ./internal/core/
-	$(GO) test -fuzz=FuzzLogRecover -fuzztime=30s ./internal/durable/
-	$(GO) test -fuzz=FuzzReadEntry -fuzztime=30s ./internal/resultcache/
-	$(GO) test -fuzz=FuzzCurve -fuzztime=30s ./internal/stackdist/
-	$(GO) test -fuzz=FuzzParseBackend -fuzztime=30s ./internal/membackend/
-	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=30s ./internal/tracing/
+# FUZZERS names every fuzzer once, as Name:package, for both fuzzing
+# targets: the trace codecs, page renumbering, the construction scan,
+# the checkpoint format (round trips, corrupt bytes, and forged bodies
+# under a valid checksum), log recovery, result-cache entries, the
+# miss-ratio curve, the backend parameter parser and the traceparent
+# header parser.
+FUZZERS := \
+	FuzzReadBinary:./internal/trace/ \
+	FuzzReadText:./internal/trace/ \
+	FuzzRenumber:./internal/trace/ \
+	FuzzCompact:./internal/core/ \
+	FuzzCheckpointRoundTrip:./internal/core/ \
+	FuzzResumeCorrupt:./internal/core/ \
+	FuzzResumeForged:./internal/core/ \
+	FuzzFastForwardDifferential:./internal/core/ \
+	FuzzLogRecover:./internal/durable/ \
+	FuzzReadEntry:./internal/resultcache/ \
+	FuzzCurve:./internal/stackdist/ \
+	FuzzParseBackend:./internal/membackend/ \
+	FuzzParseTraceparent:./internal/tracing/
 
-# Quick fuzzing smoke for `make check`: a few seconds per fuzzer, enough
-# to catch gross codec or snapshot-validation breakage.
-fuzz-smoke:
-	$(GO) test -fuzz=FuzzReadBinary -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
-	$(GO) test -fuzz=FuzzReadText -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
-	$(GO) test -fuzz=FuzzRenumber -fuzztime=$(SMOKE_FUZZTIME) ./internal/trace/
-	$(GO) test -fuzz=FuzzCompact -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
-	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
-	$(GO) test -fuzz=FuzzResumeCorrupt -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
-	$(GO) test -fuzz=FuzzFastForwardDifferential -fuzztime=$(SMOKE_FUZZTIME) ./internal/core/
-	$(GO) test -fuzz=FuzzLogRecover -fuzztime=$(SMOKE_FUZZTIME) ./internal/durable/
-	$(GO) test -fuzz=FuzzReadEntry -fuzztime=$(SMOKE_FUZZTIME) ./internal/resultcache/
-	$(GO) test -fuzz=FuzzCurve -fuzztime=$(SMOKE_FUZZTIME) ./internal/stackdist/
-	$(GO) test -fuzz=FuzzParseBackend -fuzztime=$(SMOKE_FUZZTIME) ./internal/membackend/
-	$(GO) test -fuzz=FuzzParseTraceparent -fuzztime=$(SMOKE_FUZZTIME) ./internal/tracing/
+# `fuzz` digs for 30s per fuzzer; `fuzz-smoke`, inside `make check`,
+# runs each a few seconds, enough to catch gross codec or
+# snapshot-validation breakage. Both stop at the first failure.
+fuzz: FUZZ_TIME = 30s
+fuzz-smoke: FUZZ_TIME = $(SMOKE_FUZZTIME)
+fuzz fuzz-smoke:
+	@for f in $(FUZZERS); do \
+		echo "$(GO) test -fuzz=$${f%%:*} -fuzztime=$(FUZZ_TIME) $${f#*:}"; \
+		$(GO) test -fuzz=$${f%%:*} -fuzztime=$(FUZZ_TIME) $${f#*:} || exit 1; \
+	done
 
 # Doc-drift gate: every fenced sh/go block in the listed docs must match
 # the tree — Go examples compile, documented flags exist, make targets

@@ -50,8 +50,13 @@ type Arbiter interface {
 	Len() int
 	// UpdatePriorities informs the arbiter that the priority permutation
 	// changed. pri[c] is the priority rank of core c: rank 0 is served
-	// first. FIFO and Random ignore it.
+	// first, and pri must be a permutation of the cores. FIFO and Random
+	// ignore it.
 	UpdatePriorities(pri []int32)
+	// Requests appends the queued requests to dst and returns the
+	// extended slice. Resume calls it to check a restored queue against
+	// the cores' state.
+	Requests(dst []model.Request) []model.Request
 }
 
 // New constructs an arbiter of the given kind for p cores. The seed is used

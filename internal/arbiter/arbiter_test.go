@@ -98,17 +98,19 @@ func TestPriorityIdentityOrder(t *testing.T) {
 	}
 }
 
-func TestPriorityTieBreakBySeq(t *testing.T) {
-	// Two requests from the same core cannot coexist, but two cores can
-	// share a rank after a custom UpdatePriorities; seq must break ties.
+// TestPrioritySharedRankPanics pins the arbiter's contract: ranks are a
+// permutation and a core has one request queued, so two requests never
+// share a rank, and a Push that would is refused with a panic rather
+// than losing either request.
+func TestPrioritySharedRankPanics(t *testing.T) {
 	a := MustNew(Priority, 2, 0)
-	a.UpdatePriorities([]int32{0, 0})
 	a.Push(req(1, 1))
-	a.Push(req(0, 2))
-	r, _ := a.Pop()
-	if r.Seq != 1 {
-		t.Fatalf("tie-break: got seq %d, want 1 (earlier arrival)", r.Seq)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second request at rank 1 was accepted")
+		}
+	}()
+	a.Push(req(1, 2))
 }
 
 func TestPriorityUpdateReheaps(t *testing.T) {

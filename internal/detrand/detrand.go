@@ -59,11 +59,13 @@ func (s *Source) Seed(seed int64) {
 func (s *Source) SaveState(w *snap.Writer) { w.U64(s.draws) }
 
 // LoadState decodes the stream position but does not replay it; the
-// replay cost is proportional to the saved draw count, which corrupt
-// input could inflate without bound, so it is deferred to FinishLoad
-// (after checksum verification).
+// replay cost is proportional to the saved draw count, so the count is
+// bounded by the Reader's MaxDraws and the replay is deferred to
+// FinishLoad (after checksum verification).
 func (s *Source) LoadState(r *snap.Reader) {
-	s.pending = r.U64()
+	if s.pending = r.U64(); r.Err() == nil && s.pending > r.MaxDraws {
+		r.Failf("snap: draw count %d exceeds limit %d", s.pending, r.MaxDraws)
+	}
 	s.dirty = true
 }
 

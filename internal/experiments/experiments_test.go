@@ -10,7 +10,6 @@ import (
 
 	"hbmsim/internal/core"
 	"hbmsim/internal/membackend"
-	"hbmsim/internal/sweep"
 	"hbmsim/internal/trace"
 )
 
@@ -134,17 +133,14 @@ func TestOptionsValidate(t *testing.T) {
 func TestBackendOverride(t *testing.T) {
 	o := tiny()
 	o.Backend = membackend.Config{Kind: membackend.Bandwidth}
-	jobs := []sweep.Job{
-		{Name: "defaulted", Config: core.Config{HBMSlots: 8, Channels: 1}},
-		{Name: "explicit", Config: core.Config{HBMSlots: 8, Channels: 1,
-			Backend: membackend.Config{Kind: membackend.Hybrid}}},
+	defaulted := o.withBackend(core.Config{HBMSlots: 8, Channels: 1})
+	if defaulted.Backend.Kind != membackend.Bandwidth {
+		t.Errorf("defaulted job backend = %q, want bandwidth", defaulted.Backend.Kind)
 	}
-	o.applyBackend(jobs)
-	if jobs[0].Config.Backend.Kind != membackend.Bandwidth {
-		t.Errorf("defaulted job backend = %q, want bandwidth", jobs[0].Config.Backend.Kind)
-	}
-	if jobs[1].Config.Backend.Kind != membackend.Hybrid {
-		t.Errorf("explicit job backend = %q, want hybrid (override must not clobber it)", jobs[1].Config.Backend.Kind)
+	explicit := o.withBackend(core.Config{HBMSlots: 8, Channels: 1,
+		Backend: membackend.Config{Kind: membackend.Hybrid}})
+	if explicit.Backend.Kind != membackend.Hybrid {
+		t.Errorf("explicit job backend = %q, want hybrid (override must not clobber it)", explicit.Backend.Kind)
 	}
 
 	// End to end: every experiment that simulates under the default model

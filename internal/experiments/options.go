@@ -77,25 +77,21 @@ type Options struct {
 	Resume bool
 }
 
-// run executes one sweep with the Options' live-introspection surface
-// (context, progress callback, metrics registry) applied.
+// run executes one sweep with Options.Backend folded into the jobs that
+// did not pick their own far-memory model, and with the Options'
+// live-introspection surface (context, progress callback, metrics
+// registry) and journal applied.
 func (o Options) run(jobs []sweep.Job) []sweep.Row {
-	o.applyBackend(jobs)
-	return sweep.RunContext(o.Ctx, jobs, o.sweepOptions())
-}
-
-// runReplicated is run for seed-replicated sweeps.
-func (o Options) runReplicated(jobs []sweep.Job, replicas int) []sweep.Replicated {
-	o.applyBackend(jobs)
-	return sweep.RunReplicatedContext(o.Ctx, jobs, replicas, o.sweepOptions())
-}
-
-// applyBackend folds Options.Backend into jobs that did not pick their
-// own far-memory model.
-func (o Options) applyBackend(jobs []sweep.Job) {
 	for i := range jobs {
 		jobs[i].Config = o.withBackend(jobs[i].Config)
 	}
+	return sweep.RunContext(o.Ctx, jobs, sweep.Options{
+		Workers:    o.Workers,
+		OnProgress: o.OnProgress,
+		Metrics:    o.Metrics,
+		Journal:    o.Journal,
+		Resume:     o.Resume,
+	})
 }
 
 // withBackend returns cfg with Options.Backend as its far-memory model
@@ -129,16 +125,6 @@ func (o Options) runObserved(job sweep.Job, obs core.Observer) (*core.Result, er
 		return nil, fmt.Errorf("experiments: job %q: %w", job.Name, err)
 	}
 	return sim.Result(), nil
-}
-
-func (o Options) sweepOptions() sweep.Options {
-	return sweep.Options{
-		Workers:    o.Workers,
-		OnProgress: o.OnProgress,
-		Metrics:    o.Metrics,
-		Journal:    o.Journal,
-		Resume:     o.Resume,
-	}
 }
 
 // Default returns laptop-scale options that preserve the paper's scarcity

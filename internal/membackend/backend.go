@@ -121,6 +121,11 @@ type Backend interface {
 	// never be later than the true completion.
 	NextEventTick() model.Tick
 
+	// Transfers appends the started, not-yet-drained transfers to dst,
+	// in completion order, and returns the extended slice. Resume calls
+	// it to check the restored transfers against the cores' state.
+	Transfers(dst []Transfer) []Transfer
+
 	// SaveState/LoadState serialise the backend's dynamic state into a
 	// checkpoint's 'B' section. Save must be byte-deterministic in the
 	// state; Load must bounds-check every decoded value and never panic

@@ -89,5 +89,5 @@ func (b *bandwidth) LoadState(r *snap.Reader) {
 	for i := range b.freeAt {
 		b.freeAt[i] = model.Tick(r.U64())
 	}
-	b.load(r, b.MaxInFlight(), b.pageBytes)
+	b.load(r, b.MaxInFlight(), len(b.freeAt), int(b.occupancy+b.latency), b.pageBytes)
 }

@@ -3,6 +3,7 @@ package membackend
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"hbmsim/internal/model"
@@ -18,7 +19,7 @@ import (
 //   - Conservation: every Start is eventually drained exactly once
 //     (started == drained after the script's cooldown drains the
 //     backend to empty), and the in-flight count — started minus
-//     drained — never exceeds MaxInFlight.
+//     drained — never exceeds MaxInFlight and is what Transfers lists.
 //   - Completion-ordering determinism: two fresh instances replaying
 //     the same script produce identical drain streams.
 //   - NextEventTick: zero exactly when idle, always in the future, and
@@ -59,6 +60,7 @@ func RunBackendConformance(t *testing.T, newBackend func() Backend) {
 		r := snap.NewReader(bytes.NewReader(buf.Bytes()))
 		r.MaxCores = scriptCores
 		r.MaxPages = scriptPages
+		r.Tick = uint64(tick)
 		restored.LoadState(r)
 		if err := r.Verify(); err != nil {
 			t.Fatalf("conformance: LoadState: %v", err)
@@ -74,6 +76,9 @@ func RunBackendConformance(t *testing.T, newBackend func() Backend) {
 		}
 		if got, want := restored.NextEventTick(), b.NextEventTick(); got != want {
 			t.Errorf("conformance: restored NextEventTick %d, original %d", got, want)
+		}
+		if got, want := restored.Transfers(nil), b.Transfers(nil); !slices.Equal(got, want) {
+			t.Errorf("conformance: restored Transfers %v, original %v", got, want)
 		}
 	})
 	tail := runScript(t, restored, script, snapshotTick, full.snapInFlight, nil)
@@ -185,6 +190,9 @@ func runScript(t *testing.T, b Backend, script []tickScript, startAfter model.Ti
 			if tick > snapshotTick {
 				fmt.Fprintf(&tailLog, "t=%d c=%d p=%d\n", tick, d.Core, d.Page)
 			}
+		}
+		if n := len(b.Transfers(nil)); n != inFlight {
+			t.Fatalf("conformance: tick %d: Transfers lists %d of %d in flight", tick, n, inFlight)
 		}
 		if inFlight > b.MaxInFlight() {
 			t.Fatalf("conformance: tick %d: %d in flight exceeds MaxInFlight %d", tick, inFlight, b.MaxInFlight())

@@ -144,6 +144,8 @@ func (b *hybrid) LoadState(r *snap.Reader) {
 		b.fastFIFO = append(b.fastFIFO, p)
 		b.fastSet[p] = struct{}{}
 	}
-	b.load(r, b.MaxInFlight(), b.pageBytes)
+	// A run's fetches all read the slow tier (Writeback drops every page
+	// HBM evicts from the fast tier), so at most q complete on one tick.
+	b.load(r, b.MaxInFlight(), b.channels, int(b.slowRead), b.pageBytes)
 	b.wbFreeAt = model.Tick(r.U64())
 }

@@ -7,8 +7,8 @@ import (
 
 // inflight holds a backend's started transfers ordered by completion
 // tick, ties in start order, so the transfers due at a tick are always
-// a prefix. Every backend embeds one and inherits Drain and
-// NextEventTick from it; bandwidth and hybrid inherit DueAt too. The
+// a prefix. Every backend embeds one and inherits Drain, NextEventTick
+// and Transfers from it; bandwidth and hybrid inherit DueAt too. The
 // backing array is preallocated to the smaller of the backend's
 // MaxInFlight and the core count (a core has at most one fetch
 // outstanding), so the steady state never allocates.
@@ -75,6 +75,14 @@ func (q *inflight) Drain(t model.Tick, dst []Transfer) []Transfer {
 	return dst
 }
 
+// Transfers appends every transfer in flight to dst.
+func (q *inflight) Transfers(dst []Transfer) []Transfer {
+	for _, x := range q.xs {
+		dst = append(dst, Transfer{Core: x.core, Page: x.page})
+	}
+	return dst
+}
+
 // NextEventTick is the head's completion tick, or 0 when empty.
 func (q *inflight) NextEventTick() model.Tick {
 	if len(q.xs) == 0 {
@@ -99,12 +107,17 @@ func (q *inflight) save(w *snap.Writer, size int) {
 	}
 }
 
-// load reads what save wrote, refusing more than limit transfers, a
-// size slot other than size, and completion ticks out of order.
-func (q *inflight) load(r *snap.Reader, limit, size int) {
+// load reads what save wrote, refusing more than limit transfers and a
+// size slot other than size. A snapshot is taken between ticks, when
+// every transfer due has landed and the others started by the
+// snapshot's tick, so it also refuses completion ticks out of order, at
+// or before the snapshot's tick or more than ahead ticks after it, and
+// more than perTick transfers completing on one tick.
+func (q *inflight) load(r *snap.Reader, limit, perTick, ahead, size int) {
 	n := r.Len(limit, "in-flight transfers")
 	q.xs = q.xs[:0]
-	last := model.Tick(0)
+	now := model.Tick(r.Tick)
+	last := now
 	for i := 0; i < n; i++ {
 		core := r.Core()
 		page := r.Page()
@@ -117,8 +130,12 @@ func (q *inflight) load(r *snap.Reader, limit, size int) {
 		if r.Err() != nil {
 			return
 		}
-		if done < last {
-			r.Failf("membackend: snapshot in-flight done ticks not monotone at %d", done)
+		if done <= now || done < last || done-now > model.Tick(ahead) {
+			r.Failf("membackend: snapshot in-flight done tick %d is out of order or not one a transfer started by tick %d can have", done, now)
+			return
+		}
+		if k := len(q.xs) - perTick; k >= 0 && q.xs[k].done == done {
+			r.Failf("membackend: snapshot has more than %d transfers completing at tick %d", perTick, done)
 			return
 		}
 		last = done

@@ -309,7 +309,8 @@ func FuzzParseBackend(f *testing.F) {
 
 // TestLoadStateRejectsCorrupt fuzz-adjacent negative decode cases: a
 // non-monotone land tick, an out-of-range page, a duplicated fast-tier
-// page, a transfer size other than the page size.
+// page, a transfer size other than the page size, and land ticks no
+// transfer started by the snapshot's tick 7 can have.
 func TestLoadStateRejectsCorrupt(t *testing.T) {
 	load := func(b Backend, write func(w *snap.Writer)) error {
 		var buf bytes.Buffer
@@ -321,6 +322,7 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 		r := snap.NewReader(bytes.NewReader(buf.Bytes()))
 		r.MaxCores = 4
 		r.MaxPages = 100
+		r.Tick = 7
 		b.LoadState(r)
 		return r.Err()
 	}
@@ -333,9 +335,32 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 		w.U64(9) // land 9
 		w.U64(1)
 		w.U64(2)
-		w.U64(5) // land 5 < 9: not monotone
+		w.U64(8) // land 8 < 9: not monotone
 	}); err == nil {
 		t.Fatal("reference must reject non-monotone land ticks")
+	}
+	// At latency 3 a transfer started by tick 7 lands on tick 8 or 9,
+	// at most two (q) on one tick; at latency 1 it has landed by then.
+	for _, tc := range []struct {
+		name    string
+		latency int
+		lands   []uint64
+	}{
+		{"a land tick at the snapshot's tick", 3, []uint64{7}},
+		{"a land tick more than L-1 ticks on", 3, []uint64{10}},
+		{"more than q transfers landing on one tick", 3, []uint64{9, 9, 9}},
+		{"a transfer in flight at unit latency", 1, []uint64{8}},
+	} {
+		if err := load(mustNew(t, Config{Kind: Reference}, 2, tc.latency), func(w *snap.Writer) {
+			w.Int(len(tc.lands))
+			for i, land := range tc.lands {
+				w.U64(uint64(i))
+				w.U64(1)
+				w.U64(land)
+			}
+		}); err == nil {
+			t.Fatalf("reference must reject %s", tc.name)
+		}
 	}
 	if err := load(mustNew(t, Config{Kind: Reference}, 2, 3), func(w *snap.Writer) {
 		w.Int(1)
@@ -372,7 +397,7 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 		w.U64(1)
 		w.U64(2)
 		w.Int(64)
-		w.U64(4) // done 4 < 9: not monotone
+		w.U64(8) // done 8 < 9: not monotone
 	}); err == nil {
 		t.Fatal("bandwidth must reject non-monotone done ticks")
 	}

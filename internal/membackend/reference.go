@@ -50,4 +50,6 @@ func (b *reference) MaxInFlight() int { return b.channels * b.latency }
 // decode path replays an old 'I' payload through LoadState unchanged.
 func (b *reference) SaveState(w *snap.Writer) { b.save(w, 0) }
 
-func (b *reference) LoadState(r *snap.Reader) { b.load(r, b.MaxInFlight(), 0) }
+// LoadState refuses a transfer completing more than L−1 ticks after the
+// snapshot's: each started by then. At unit latency none is in flight.
+func (b *reference) LoadState(r *snap.Reader) { b.load(r, b.MaxInFlight(), b.channels, b.latency-1, 0) }

@@ -159,11 +159,16 @@ type Reader struct {
 
 	// Decode-time limits, set by the snapshot's owner before handing the
 	// Reader to component Loaders: the core count and dense-page universe
-	// of the simulation being restored. Limits of 0 mean "no pages" /
-	// "no cores" respectively — a page or core index is valid only below
-	// its limit.
+	// of the simulation being restored, and the most random numbers any
+	// one stream can have drawn by the snapshot's tick. Limits of 0 mean
+	// "no cores" / "no pages" / "no draws" respectively — a core or page
+	// index is valid only below its limit, a draw count up to its limit.
 	MaxCores uint64
 	MaxPages uint64
+	MaxDraws uint64
+	// Tick is the tick the snapshot was taken at, for loaders whose
+	// state holds ticks still to come.
+	Tick uint64
 }
 
 // NewReader starts decoding a snapshot from r.

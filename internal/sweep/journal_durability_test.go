@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -52,7 +53,7 @@ func seedJournal(t *testing.T, path string, jobs []Job, n int) []Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Run(jobs[:n], 1)
+	rows := RunContext(context.Background(), jobs[:n], Options{Workers: 1})
 	for i, r := range rows {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)

@@ -29,7 +29,7 @@ func journalJobs(n int) []Job {
 // the rows of an uninterrupted sweep, re-running only unfinished jobs.
 func TestJournalKilledThenResumed(t *testing.T) {
 	jobs := journalJobs(12)
-	want := Run(jobs, 2)
+	want := RunContext(context.Background(), jobs, Options{Workers: 2})
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 
 	// First attempt: cancel after the 4th completion; jobs already picked
@@ -128,7 +128,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Run(jobs[:2], 1)
+	rows := RunContext(context.Background(), jobs[:2], Options{Workers: 1})
 	for i, r := range rows {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)

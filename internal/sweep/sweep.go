@@ -3,13 +3,15 @@
 // the source of the access traces, the number of cores, ... the number of
 // channels to DRAM, and whether the DRAM queue is FIFO or Priority").
 //
-// Each Job is one (configuration, workload) point; Run fans the jobs out
-// over a bounded worker pool and returns results in job order, so callers
-// get deterministic tables regardless of scheduling. RunContext adds the
-// live-introspection surface: context cancellation between jobs, a
-// Progress callback with completion counts and an ETA, and runtime
-// counters in a metrics.Registry. A worker panic is captured into that
-// job's Row.Err instead of crashing the whole sweep.
+// Each Job is one (configuration, workload) point. RunContext, the one
+// runner, fans the jobs out over a bounded worker pool and returns results
+// in job order, so callers get deterministic tables regardless of
+// scheduling. It also carries the live-introspection surface: context
+// cancellation between jobs, a Progress callback with completion counts
+// and an ETA, and runtime counters in a metrics.Registry. A worker panic
+// is captured into that job's Row.Err instead of crashing the whole sweep.
+// A caller that replicates a job over seeds lists each replica as a job
+// of its own.
 package sweep
 
 import (
@@ -104,13 +106,6 @@ type Options struct {
 	// the previous run did not finish. Restored rows are folded into the
 	// first Progress update's Completed count.
 	Resume bool
-}
-
-// Run executes the jobs on min(workers, len(jobs)) goroutines and returns
-// one Row per Job, in job order. workers <= 0 selects GOMAXPROCS. It is
-// RunContext with a background context and default options.
-func Run(jobs []Job, workers int) []Row {
-	return RunContext(context.Background(), jobs, Options{Workers: workers})
 }
 
 // instruments bundles the registry handles one sweep updates; the zero

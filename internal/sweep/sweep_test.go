@@ -32,7 +32,7 @@ func TestRunOrderPreserved(t *testing.T) {
 			Workload: wl,
 		})
 	}
-	rows := Run(jobs, 4)
+	rows := RunContext(context.Background(), jobs, Options{Workers: 4})
 	if len(rows) != len(jobs) {
 		t.Fatalf("rows: %d, want %d", len(rows), len(jobs))
 	}
@@ -58,7 +58,7 @@ func TestRunPropagatesErrors(t *testing.T) {
 		{Name: "good", Config: core.Config{HBMSlots: 4, Channels: 1}, Workload: wl},
 		{Name: "bad", Config: core.Config{HBMSlots: 0, Channels: 1}, Workload: wl},
 	}
-	rows := Run(jobs, 2)
+	rows := RunContext(context.Background(), jobs, Options{Workers: 2})
 	if rows[0].Err != nil {
 		t.Fatalf("good job errored: %v", rows[0].Err)
 	}
@@ -87,7 +87,7 @@ func TestRunWorkerClamping(t *testing.T) {
 	wl := testWorkload()
 	jobs := []Job{{Name: "solo", Config: core.Config{HBMSlots: 2, Channels: 1}, Workload: wl}}
 	for _, workers := range []int{-1, 0, 1, 100} {
-		rows := Run(jobs, workers)
+		rows := RunContext(context.Background(), jobs, Options{Workers: workers})
 		if len(rows) != 1 || rows[0].Err != nil {
 			t.Fatalf("workers=%d: %+v", workers, rows)
 		}
@@ -95,7 +95,7 @@ func TestRunWorkerClamping(t *testing.T) {
 }
 
 func TestRunEmptyJobs(t *testing.T) {
-	rows := Run(nil, 4)
+	rows := RunContext(context.Background(), nil, Options{Workers: 4})
 	if len(rows) != 0 {
 		t.Fatalf("empty jobs returned %d rows", len(rows))
 	}
@@ -110,7 +110,7 @@ func TestRunPanicBecomesRowError(t *testing.T) {
 		{Name: "boom", Config: core.Config{HBMSlots: 4, Channels: 1}, Workload: nil},
 		{Name: "after", Config: core.Config{HBMSlots: 4, Channels: 1}, Workload: wl},
 	}
-	rows := Run(jobs, 2)
+	rows := RunContext(context.Background(), jobs, Options{Workers: 2})
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
@@ -274,7 +274,7 @@ func TestRunContextDifferential(t *testing.T) {
 		}
 		return jobs
 	}
-	plain := Run(mk(), 4)
+	plain := RunContext(context.Background(), mk(), Options{Workers: 4})
 	observed := RunContext(context.Background(), mk(), Options{
 		Workers:    4,
 		Metrics:    metrics.NewRegistry(),
@@ -294,7 +294,7 @@ func TestRunWorkersExceedJobs(t *testing.T) {
 		{Name: "b", Config: core.Config{HBMSlots: 4, Channels: 1}, Workload: wl},
 	}
 	for _, workers := range []int{3, 64} {
-		rows := Run(jobs, workers)
+		rows := RunContext(context.Background(), jobs, Options{Workers: workers})
 		if len(rows) != 2 || rows[0].Err != nil || rows[1].Err != nil {
 			t.Fatalf("workers=%d: %+v", workers, rows)
 		}
@@ -303,7 +303,7 @@ func TestRunWorkersExceedJobs(t *testing.T) {
 
 func TestRunZeroJobsAllWorkerCounts(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 8} {
-		if rows := Run(nil, workers); len(rows) != 0 {
+		if rows := RunContext(context.Background(), nil, Options{Workers: workers}); len(rows) != 0 {
 			t.Fatalf("workers=%d: %d rows from no jobs", workers, len(rows))
 		}
 		if rows := RunContext(context.Background(), []Job{}, Options{Workers: workers}); len(rows) != 0 {
@@ -327,9 +327,9 @@ func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		return jobs
 	}
-	wide := Run(mk(), 0) // GOMAXPROCS-many workers
+	wide := RunContext(context.Background(), mk(), Options{}) // GOMAXPROCS-many workers
 	prev := runtime.GOMAXPROCS(1)
-	narrow := Run(mk(), 0) // now a single worker
+	narrow := RunContext(context.Background(), mk(), Options{}) // now a single worker
 	runtime.GOMAXPROCS(prev)
 	for i := range wide {
 		if wide[i].Job.Name != narrow[i].Job.Name {
@@ -354,8 +354,8 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return jobs
 	}
-	serial := Run(mk(), 1)
-	parallel := Run(mk(), 8)
+	serial := RunContext(context.Background(), mk(), Options{Workers: 1})
+	parallel := RunContext(context.Background(), mk(), Options{Workers: 8})
 	for i := range serial {
 		if serial[i].Result.Makespan != parallel[i].Result.Makespan {
 			t.Fatalf("job %d differs across worker counts", i)
